@@ -67,8 +67,6 @@ class FirmwareDefenseBase : public Defense,
     void attemptRecovery(const attack::VictimDataset &victim,
                          Tick attack_start) override;
 
-    std::uint64_t heldVersions() const { return held_.size(); }
-
   protected:
     /** Subclass policy: retain this invalidated page? */
     virtual bool shouldHold(flash::Lpa lpa, float new_entropy,

@@ -58,8 +58,6 @@ class HostShimDefense : public Defense, public nvme::BlockDevice
     /** Kill the host agent (used by subclasses on priv-esc). */
     void killAgent() { agentAlive_ = false; }
 
-    bool agentAlive() const { return agentAlive_; }
-
     VirtualClock &clock_;
     nvme::LocalSsd inner_;
 

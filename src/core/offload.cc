@@ -226,20 +226,7 @@ void
 OffloadEngine::registerMetrics(obs::MetricsRegistry &registry,
                                const std::string &prefix) const
 {
-    registry.counter(prefix + "segmentsSealed",
-                     [this] { return stats_.segmentsSealed; });
-    registry.counter(prefix + "segmentsAccepted",
-                     [this] { return stats_.segmentsAccepted; });
-    registry.counter(prefix + "remoteRejects",
-                     [this] { return stats_.remoteRejects; });
-    registry.counter(prefix + "parks",
-                     [this] { return stats_.parks; });
-    registry.counter(prefix + "resubmits",
-                     [this] { return stats_.resubmits; });
-    registry.counter(prefix + "pagesOffloaded",
-                     [this] { return stats_.pagesOffloaded; });
-    registry.counter(prefix + "bytesSealed",
-                     [this] { return stats_.bytesSealed; });
+    registry.counters(prefix, stats_, kOffloadStatsFields);
     registry.gauge(prefix + "compressionRatio",
                    [this] { return stats_.compressionRatio(); });
     registry.histogram(prefix + "sealLatency",

@@ -51,6 +51,20 @@ struct OffloadStats
     }
 };
 
+/** The counters reported as "device.N.offload.<key>" metrics and in
+ *  each FleetReport device entry, in emission order. */
+inline constexpr U64Field<OffloadStats> kOffloadStatsFields[] = {
+    {"segmentsSealed", &OffloadStats::segmentsSealed},
+    {"segmentsAccepted", &OffloadStats::segmentsAccepted},
+    {"remoteRejects", &OffloadStats::remoteRejects},
+    {"parks", &OffloadStats::parks},
+    {"resubmits", &OffloadStats::resubmits},
+    {"pagesOffloaded", &OffloadStats::pagesOffloaded},
+    {"entriesOffloaded", &OffloadStats::entriesOffloaded},
+    {"bytesRaw", &OffloadStats::bytesRaw},
+    {"bytesSealed", &OffloadStats::bytesSealed},
+};
+
 class OffloadEngine
 {
   public:

@@ -130,9 +130,6 @@ class RssdDevice : public nvme::BlockDevice, private ftl::FtlPolicy
     const log::RetentionIndex &retention() const { return retention_; }
     OffloadEngine &offload() { return *offload_; }
     const OffloadEngine &offload() const { return *offload_; }
-    /** True when the device owns an in-process remote store (single-
-     *  device mode); false in fleet mode (external cluster target). */
-    bool hasLocalStore() const { return store_ != nullptr; }
     remote::BackupStore &backupStore();
     const remote::BackupStore &backupStore() const;
     net::EthernetLink &link() { return *link_; }

@@ -43,15 +43,7 @@ emitDevice(JsonWriter &j, const DeviceReport &d)
     j.key("loggedTrims"); j.u64(d.rssd.loggedTrims);
     j.key("backpressureStalls"); j.u64(d.rssd.backpressureStalls);
     j.key("deviceFullErrors"); j.u64(d.rssd.deviceFullErrors);
-    j.key("segmentsSealed"); j.u64(d.offload.segmentsSealed);
-    j.key("segmentsAccepted"); j.u64(d.offload.segmentsAccepted);
-    j.key("remoteRejects"); j.u64(d.offload.remoteRejects);
-    j.key("parks"); j.u64(d.offload.parks);
-    j.key("resubmits"); j.u64(d.offload.resubmits);
-    j.key("pagesOffloaded"); j.u64(d.offload.pagesOffloaded);
-    j.key("entriesOffloaded"); j.u64(d.offload.entriesOffloaded);
-    j.key("bytesRaw"); j.u64(d.offload.bytesRaw);
-    j.key("bytesSealed"); j.u64(d.offload.bytesSealed);
+    j.fields(d.offload, core::kOffloadStatsFields);
     j.key("retransmits"); j.u64(d.transport.retransmits);
     j.key("wireBytes"); j.u64(d.transport.bytesSent);
     j.key("finishedAt"); j.u64(d.finishedAt);
@@ -131,14 +123,7 @@ FleetReport::toJson() const
     j.key("backpressureStalls"); j.u64(totalBackpressureStalls);
     j.key("segmentsPruned"); j.u64(totalSegmentsPruned);
     j.key("bytesPruned"); j.u64(totalBytesPruned);
-    j.key("quorumWrites"); j.u64(replicationStats.quorumWrites);
-    j.key("quorumStalls"); j.u64(replicationStats.quorumStalls);
-    j.key("partialWrites"); j.u64(replicationStats.partialWrites);
-    j.key("streamsMigrated");
-    j.u64(replicationStats.streamsMigrated);
-    j.key("segmentsMigrated");
-    j.u64(replicationStats.segmentsMigrated);
-    j.key("bytesMigrated"); j.u64(replicationStats.bytesMigrated);
+    j.fields(replicationStats, remote::kReplicationStatsFields);
     j.key("offloadAckP50Ns");
     j.u64(offloadAckLatency.count() > 0
               ? offloadAckLatency.percentileNs(50)
@@ -154,20 +139,7 @@ FleetReport::toJson() const
     j.key("repair");
     j.open('{');
     j.key("enabled"); j.boolean(repairEnabled);
-    j.key("enqueues"); j.u64(repairStats.enqueues);
-    j.key("streamsRepaired"); j.u64(repairStats.streamsRepaired);
-    j.key("segmentsCopied"); j.u64(repairStats.segmentsCopied);
-    j.key("bytesCopied"); j.u64(repairStats.bytesCopied);
-    j.key("reanchors"); j.u64(repairStats.reanchors);
-    j.key("copyRestarts"); j.u64(repairStats.copyRestarts);
-    j.key("repairRejects"); j.u64(repairStats.repairRejects);
-    j.key("irreparable"); j.u64(repairStats.irreparable);
-    j.key("scrubbedSegments"); j.u64(repairStats.scrubbedSegments);
-    j.key("scrubPasses"); j.u64(repairStats.scrubPasses);
-    j.key("scrubCorruptions"); j.u64(repairStats.scrubCorruptions);
-    j.key("tailVoteQuarantines");
-    j.u64(repairStats.tailVoteQuarantines);
-    j.key("quarantines"); j.u64(repairStats.quarantines);
+    j.fields(repairStats, remote::kRepairStatsFields);
     j.key("degradedAtEnd"); j.u64(degradedAtEnd);
     j.key("quarantinedAtEnd"); j.u64(quarantinedAtEnd);
     j.key("convergedAtNs"); j.u64(repairConvergedAt);

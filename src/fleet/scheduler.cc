@@ -244,24 +244,19 @@ FleetScheduler::registerMetrics(obs::MetricsRegistry &registry) const
     // Fleet-wide offload aggregates: the health rules watch the
     // fleet, not one device, so the park/resubmit/reject totals are
     // summed across every actor at sample time.
-    registry.counter("fleet.offloadParks", [this] {
-        std::uint64_t n = 0;
-        for (const auto &actor : actors_)
-            n += actor->dev->offload().stats().parks;
-        return n;
-    });
-    registry.counter("fleet.offloadResubmits", [this] {
-        std::uint64_t n = 0;
-        for (const auto &actor : actors_)
-            n += actor->dev->offload().stats().resubmits;
-        return n;
-    });
-    registry.counter("fleet.remoteRejects", [this] {
-        std::uint64_t n = 0;
-        for (const auto &actor : actors_)
-            n += actor->dev->offload().stats().remoteRejects;
-        return n;
-    });
+    static constexpr U64Field<core::OffloadStats> kFleetSums[] = {
+        {"fleet.offloadParks", &core::OffloadStats::parks},
+        {"fleet.offloadResubmits", &core::OffloadStats::resubmits},
+        {"fleet.remoteRejects", &core::OffloadStats::remoteRejects},
+    };
+    for (const U64Field<core::OffloadStats> &f : kFleetSums) {
+        registry.counter(f.key, [this, m = f.member] {
+            std::uint64_t n = 0;
+            for (const auto &actor : actors_)
+                n += actor->dev->offload().stats().*m;
+            return n;
+        });
+    }
 }
 
 const std::string &

@@ -78,8 +78,10 @@ correlate(const EvidenceScanner &scanner,
     }
 
     // Campaign shape. Flood signature dominates; otherwise the
-    // spread of the first implicated ops separates a detonation
-    // from lateral movement.
+    // median spread-edge lag separates a detonation from lateral
+    // movement. The median, not the first-to-last span: one device
+    // whose first implicated op trails its detonation must not turn
+    // a simultaneous outbreak into a staggered one.
     if (!out.anyDetected) {
         out.campaignClass = CampaignClass::Benign;
     } else if (std::any_of(detected.begin(), detected.end(),
@@ -88,9 +90,13 @@ correlate(const EvidenceScanner &scanner,
                            })) {
         out.campaignClass = CampaignClass::ShardFlood;
     } else {
-        const Tick span = detected.back()->finding.attackStart -
-                          detected.front()->finding.attackStart;
-        out.campaignClass = span <= config.outbreakSpanMax
+        std::vector<Tick> lags;
+        for (const SpreadEdge &e : out.spread)
+            lags.push_back(e.lag);
+        const auto mid = lags.begin() + lags.size() / 2;
+        std::nth_element(lags.begin(), mid, lags.end());
+        const Tick median_lag = lags.empty() ? 0 : *mid;
+        out.campaignClass = median_lag <= config.outbreakSpanMax
             ? CampaignClass::Outbreak
             : CampaignClass::Staggered;
     }

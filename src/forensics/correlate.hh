@@ -81,7 +81,7 @@ struct CorrelationConfig
      */
     core::OfflineScanConfig scan;
 
-    /** First-implicated-op spread at or below this is an outbreak
+    /** A median spread-edge lag at or below this is an outbreak
      *  (simultaneous detonation); above it, lateral spread. */
     Tick outbreakSpanMax = 10 * units::MS;
 

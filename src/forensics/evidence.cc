@@ -186,16 +186,7 @@ EvidenceScanner::registerMetrics(obs::MetricsRegistry &registry,
 {
     registry.counter(prefix + "passes",
                      [this] { return passes_; });
-    registry.counter(prefix + "streamsScanned",
-                     [this] { return total_.streamsScanned; });
-    registry.counter(prefix + "segmentsVerified",
-                     [this] { return total_.segmentsVerified; });
-    registry.counter(prefix + "segmentsCached",
-                     [this] { return total_.segmentsCached; });
-    registry.counter(prefix + "bytesVerified",
-                     [this] { return total_.bytesVerified; });
-    registry.counter(prefix + "entriesReplayed",
-                     [this] { return total_.entriesReplayed; });
+    registry.counters(prefix, total_, kScanPassCostFields);
 }
 
 } // namespace rssd::forensics

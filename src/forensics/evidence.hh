@@ -43,16 +43,26 @@ struct ScanPassCost
     std::uint64_t bytesVerified = 0;
     std::uint64_t entriesReplayed = 0;
 
-    void
-    add(const ScanPassCost &o)
-    {
-        streamsScanned += o.streamsScanned;
-        segmentsVerified += o.segmentsVerified;
-        segmentsCached += o.segmentsCached;
-        bytesVerified += o.bytesVerified;
-        entriesReplayed += o.entriesReplayed;
-    }
+    /** Field-wise sum over kScanPassCostFields. */
+    void add(const ScanPassCost &o);
 };
+
+/** The counters reported as "forensics.<key>" metrics (cumulative)
+ *  and in the ForensicsReport "scan" costs, in emission order. */
+inline constexpr U64Field<ScanPassCost> kScanPassCostFields[] = {
+    {"streamsScanned", &ScanPassCost::streamsScanned},
+    {"segmentsVerified", &ScanPassCost::segmentsVerified},
+    {"segmentsCached", &ScanPassCost::segmentsCached},
+    {"bytesVerified", &ScanPassCost::bytesVerified},
+    {"entriesReplayed", &ScanPassCost::entriesReplayed},
+};
+
+inline void
+ScanPassCost::add(const ScanPassCost &o)
+{
+    for (const U64Field<ScanPassCost> &f : kScanPassCostFields)
+        this->*f.member += o.*f.member;
+}
 
 /** One device stream's verified evidence (the prefix cache). */
 struct StreamEvidence

@@ -11,11 +11,7 @@ void
 emitCost(JsonWriter &j, const ScanPassCost &c)
 {
     j.open('{');
-    j.key("streamsScanned"); j.u64(c.streamsScanned);
-    j.key("segmentsVerified"); j.u64(c.segmentsVerified);
-    j.key("segmentsCached"); j.u64(c.segmentsCached);
-    j.key("bytesVerified"); j.u64(c.bytesVerified);
-    j.key("entriesReplayed"); j.u64(c.entriesReplayed);
+    j.fields(c, kScanPassCostFields);
     j.close('}');
 }
 

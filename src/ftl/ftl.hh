@@ -210,7 +210,6 @@ class PageMappedFtl
     /** Current physical page of @p lpa, or kInvalidPpa. */
     Ppa mappingOf(Lpa lpa) const;
 
-    std::uint64_t freeBlockCount() const { return freeBlocks_.size(); }
     std::uint64_t heldPageCount() const { return heldPages_; }
     std::uint64_t validPageCount() const { return validPages_; }
 

@@ -37,7 +37,9 @@ SegmentChainVerifier::verifyNext(const SealedSegment &sealed,
 {
     fault_ = ChainFault::None;
 
-    if (!codec.verify(sealed)) {
+    // One CRC32C + HMAC pass: tryOpen() authenticates and decrypts.
+    std::optional<Segment> opened = codec.tryOpen(sealed);
+    if (!opened) {
         fault_ = ChainFault::BadAuthentication;
         return false;
     }
@@ -46,7 +48,7 @@ SegmentChainVerifier::verifyNext(const SealedSegment &sealed,
         return false;
     }
 
-    Segment seg = codec.open(sealed);
+    Segment &seg = *opened;
     if (haveTail_ && seg.chainAnchor != tail_) {
         fault_ = ChainFault::BrokenAnchor;
         return false;

@@ -1,6 +1,7 @@
 #include "log/segment.hh"
 
 #include <cstring>
+#include <utility>
 
 #include "compress/lz.hh"
 #include "crypto/crc32.hh"
@@ -340,7 +341,16 @@ SegmentCodec::verifyPrune(const PruneRecord &record) const
 Segment
 SegmentCodec::open(const SealedSegment &sealed) const
 {
-    panicIf(!verify(sealed), "segment: HMAC/CRC verification failed");
+    std::optional<Segment> seg = tryOpen(sealed);
+    panicIf(!seg, "segment: HMAC/CRC verification failed");
+    return std::move(*seg);
+}
+
+std::optional<Segment>
+SegmentCodec::tryOpen(const SealedSegment &sealed) const
+{
+    if (!verify(sealed))
+        return std::nullopt;
     // Decrypt on the fly: the keystream XOR reads the sealed payload
     // and writes the plaintext buffer in one pass, with no
     // copy-then-decrypt round trip.

@@ -16,6 +16,7 @@
 #define RSSD_LOG_SEGMENT_HH
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -153,9 +154,13 @@ class SegmentCodec
 
     /**
      * Verify authenticity and decrypt. panic()s on HMAC mismatch in
-     * trusted-path code; use verify() first for adversarial inputs.
+     * trusted-path code; use tryOpen() for adversarial inputs.
      */
     Segment open(const SealedSegment &sealed) const;
+
+    /** verify() and decrypt in one pass over the MAC: the segment,
+     *  or nullopt when the CRC or HMAC check fails. */
+    std::optional<Segment> tryOpen(const SealedSegment &sealed) const;
 
     /** Check the HMAC without decrypting. */
     bool verify(const SealedSegment &sealed) const;

@@ -17,6 +17,15 @@
  * instruments here (registerMetrics() methods), and callers render
  * one document via sim/json.hh.
  *
+ * Field tables: a stats struct that feeds both this registry and a
+ * report JSON (RepairStats, OffloadStats, ScanPassCost, the shared
+ * ReplicationStats fields) declares its counters once, as a
+ * constexpr {key, member pointer} table next to the struct
+ * (U64Field, sim/stats.hh). counters() registers one counter per row, named
+ * prefix + key, and the report emits the same rows through
+ * sim::JsonWriter::fields(), so a report value and the registry
+ * sample of the same name can never drift apart.
+ *
  * Determinism contract (documented, not libc luck — pinned by
  * tests/obs/metrics_test.cc):
  *  - duplicate or empty instrument names panic at registration time,
@@ -80,6 +89,20 @@ class MetricsRegistry
 
     /** Monotonic counter (emitted as a JSON integer). */
     void counter(const std::string &name, U64Fn sample);
+
+    /** One counter per row of a field table (sim/stats.hh), named
+     *  @p prefix + row key and registered in row order; each samples
+     *  @p stats live, so @p stats must outlive the registry. */
+    template <typename S, std::size_t N>
+    void
+    counters(const std::string &prefix, const S &stats,
+             const U64Field<S> (&table)[N])
+    {
+        for (const U64Field<S> &f : table) {
+            counter(prefix + f.key,
+                    [&stats, m = f.member] { return stats.*m; });
+        }
+    }
 
     /** Integer point-in-time value, e.g. a queue depth (emitted as
      *  a JSON integer; never rate-derived — it may go down). */

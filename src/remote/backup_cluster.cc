@@ -762,20 +762,9 @@ void
 BackupCluster::registerMetrics(obs::MetricsRegistry &registry,
                                const std::string &prefix) const
 {
-    registry.counter(prefix + "quorumWrites",
-                     [this] { return repl_.quorumWrites; });
-    registry.counter(prefix + "partialWrites",
-                     [this] { return repl_.partialWrites; });
-    registry.counter(prefix + "quorumStalls",
-                     [this] { return repl_.quorumStalls; });
+    registry.counters(prefix, repl_, kReplicationStatsFields);
     registry.counter(prefix + "quorumFailures",
                      [this] { return repl_.quorumFailures; });
-    registry.counter(prefix + "streamsMigrated",
-                     [this] { return repl_.streamsMigrated; });
-    registry.counter(prefix + "segmentsMigrated",
-                     [this] { return repl_.segmentsMigrated; });
-    registry.counter(prefix + "bytesMigrated",
-                     [this] { return repl_.bytesMigrated; });
     registry.histogram(prefix + "quorumWait",
                        [this] { return quorumWait_; });
     // Health signals: point-in-time depths are levels (they go

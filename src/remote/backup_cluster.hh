@@ -120,6 +120,19 @@ struct ReplicationStats
     std::uint64_t migrationRejects = 0; ///< target refused a segment
 };
 
+/** The counters reported both as "cluster.<key>" metrics and in the
+ *  FleetReport "totals" block, in emission order. quorumFailures is
+ *  a metric only; migrationRejects is reported nowhere. */
+inline constexpr U64Field<ReplicationStats>
+    kReplicationStatsFields[] = {
+        {"quorumWrites", &ReplicationStats::quorumWrites},
+        {"quorumStalls", &ReplicationStats::quorumStalls},
+        {"partialWrites", &ReplicationStats::partialWrites},
+        {"streamsMigrated", &ReplicationStats::streamsMigrated},
+        {"segmentsMigrated", &ReplicationStats::segmentsMigrated},
+        {"bytesMigrated", &ReplicationStats::bytesMigrated},
+};
+
 /** Per-shard ingest statistics (the FleetReport's cluster view). */
 struct ShardIngestStats
 {

@@ -446,32 +446,7 @@ void
 RepairEngine::registerMetrics(obs::MetricsRegistry &registry,
                               const std::string &prefix) const
 {
-    registry.counter(prefix + "enqueues",
-                     [this] { return stats_.enqueues; });
-    registry.counter(prefix + "streamsRepaired",
-                     [this] { return stats_.streamsRepaired; });
-    registry.counter(prefix + "segmentsCopied",
-                     [this] { return stats_.segmentsCopied; });
-    registry.counter(prefix + "bytesCopied",
-                     [this] { return stats_.bytesCopied; });
-    registry.counter(prefix + "reanchors",
-                     [this] { return stats_.reanchors; });
-    registry.counter(prefix + "copyRestarts",
-                     [this] { return stats_.copyRestarts; });
-    registry.counter(prefix + "repairRejects",
-                     [this] { return stats_.repairRejects; });
-    registry.counter(prefix + "irreparable",
-                     [this] { return stats_.irreparable; });
-    registry.counter(prefix + "scrubbedSegments",
-                     [this] { return stats_.scrubbedSegments; });
-    registry.counter(prefix + "scrubPasses",
-                     [this] { return stats_.scrubPasses; });
-    registry.counter(prefix + "scrubCorruptions",
-                     [this] { return stats_.scrubCorruptions; });
-    registry.counter(prefix + "tailVoteQuarantines",
-                     [this] { return stats_.tailVoteQuarantines; });
-    registry.counter(prefix + "quarantines",
-                     [this] { return stats_.quarantines; });
+    registry.counters(prefix, stats_, kRepairStatsFields);
     registry.level(prefix + "queueDepth",
                    [this] { return queue_.size(); });
     registry.level(prefix + "oldestDebtAgeNs",

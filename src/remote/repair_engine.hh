@@ -99,6 +99,24 @@ struct RepairStats
     Tick lastRepairDoneAt = 0;
 };
 
+/** The counters reported as "repair.<key>" metrics and in the
+ *  FleetReport "repair" block, in emission order. */
+inline constexpr U64Field<RepairStats> kRepairStatsFields[] = {
+    {"enqueues", &RepairStats::enqueues},
+    {"streamsRepaired", &RepairStats::streamsRepaired},
+    {"segmentsCopied", &RepairStats::segmentsCopied},
+    {"bytesCopied", &RepairStats::bytesCopied},
+    {"reanchors", &RepairStats::reanchors},
+    {"copyRestarts", &RepairStats::copyRestarts},
+    {"repairRejects", &RepairStats::repairRejects},
+    {"irreparable", &RepairStats::irreparable},
+    {"scrubbedSegments", &RepairStats::scrubbedSegments},
+    {"scrubPasses", &RepairStats::scrubPasses},
+    {"scrubCorruptions", &RepairStats::scrubCorruptions},
+    {"tailVoteQuarantines", &RepairStats::tailVoteQuarantines},
+    {"quarantines", &RepairStats::quarantines},
+};
+
 class RepairEngine : public RepairObserver
 {
   public:

@@ -28,6 +28,8 @@
 #include <cstdio>
 #include <string>
 
+#include "sim/stats.hh"
+
 namespace rssd::sim {
 
 class JsonWriter
@@ -82,6 +84,18 @@ class JsonWriter
         std::snprintf(buf, sizeof buf, "%.17g", v);
         out_ += buf;
         fresh_ = false;
+    }
+
+    /** One u64 pair per row of a field table (sim/stats.hh), in
+     *  row order. */
+    template <typename S, std::size_t N>
+    void
+    fields(const S &s, const U64Field<S> (&table)[N])
+    {
+        for (const U64Field<S> &f : table) {
+            key(f.key);
+            u64(s.*f.member);
+        }
     }
 
     void

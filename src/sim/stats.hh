@@ -1,7 +1,8 @@
 /**
  * @file
- * Lightweight statistics collection: counters, means, and a
- * log-bucketed latency histogram with percentile queries.
+ * Lightweight statistics collection: counters, means, a
+ * log-bucketed latency histogram with percentile queries, and the
+ * field tables that declare each reported counter once.
  */
 
 #ifndef RSSD_SIM_STATS_HH
@@ -73,6 +74,27 @@ class LatencyHistogram
     std::uint64_t _count = 0;
     double _sumNs = 0.0;
     Tick _maxNs = 0;
+};
+
+/**
+ * One row of a field table: a plain constexpr array of {key, member
+ * pointer} rows placed next to a stats struct, e.g.
+ *
+ *   inline constexpr U64Field<RepairStats> kRepairStatsFields[] = {
+ *       {"enqueues", &RepairStats::enqueues}, ...};
+ *
+ * Metric registration (obs::MetricsRegistry::counters), report
+ * emission (sim::JsonWriter::fields) and field-wise sums all walk
+ * the same rows, so a counter's name and position are spelled once.
+ * Row order is emission order. rssd_lint rule D3 reads the tables a
+ * report TU emits, so a row added or removed without a schema bump
+ * fails the lint.
+ */
+template <typename S>
+struct U64Field
+{
+    const char *key;
+    std::uint64_t S::*member;
 };
 
 /** Format a byte count as a human-readable string ("3.2 GiB"). */

@@ -48,55 +48,75 @@ healingFleet()
     return cfg;
 }
 
+/** The same incident at 250 ops per device with default victims and
+ *  1 ms health sampling. At seed 17 every device still detonates at
+ *  50 ms, but their first implicated ops spread over 10.16 ms: only
+ *  the spread-edge lag tells this outbreak from a staggered one. */
+FleetConfig
+longIncidentFleet(std::uint64_t seed)
+{
+    FleetConfig cfg = healingFleet();
+    cfg.seed = seed;
+    cfg.opsPerDevice = 250;
+    cfg.campaign.victimPages = CampaignConfig{}.victimPages;
+    cfg.health.interval = 1 * units::MS;
+    return cfg;
+}
+
 TEST(FleetRepair, CrashMidOutbreakHealsToFullStrength)
 {
-    FleetScheduler sched(healingFleet());
-    const FleetReport rep = sched.run();
+    for (const FleetConfig &cfg :
+         {healingFleet(), longIncidentFleet(17)}) {
+        SCOPED_TRACE("seed " + std::to_string(cfg.seed) + ", " +
+                     std::to_string(cfg.opsPerDevice) + " ops");
+        FleetScheduler sched(cfg);
+        const FleetReport rep = sched.run();
 
-    // The crash degraded real data and repair paid the debt: every
-    // replica set is back at full strength, nothing is quarantined,
-    // and the engine converged after the drain.
-    EXPECT_TRUE(rep.repairEnabled);
-    EXPECT_GT(rep.repairStats.enqueues, 0u);
-    EXPECT_GT(rep.repairStats.streamsRepaired, 0u);
-    EXPECT_GT(rep.repairStats.segmentsCopied, 0u);
-    EXPECT_EQ(rep.degradedAtEnd, 0u);
-    EXPECT_EQ(rep.quarantinedAtEnd, 0u);
-    EXPECT_GT(rep.repairConvergedAt, rep.makespan);
-    EXPECT_TRUE(rep.allChainsOk);
+        // The crash degraded real data and repair paid the debt: every
+        // replica set is back at full strength, nothing is quarantined,
+        // and the engine converged after the drain.
+        EXPECT_TRUE(rep.repairEnabled);
+        EXPECT_GT(rep.repairStats.enqueues, 0u);
+        EXPECT_GT(rep.repairStats.streamsRepaired, 0u);
+        EXPECT_GT(rep.repairStats.segmentsCopied, 0u);
+        EXPECT_EQ(rep.degradedAtEnd, 0u);
+        EXPECT_EQ(rep.quarantinedAtEnd, 0u);
+        EXPECT_GT(rep.repairConvergedAt, rep.makespan);
+        EXPECT_TRUE(rep.allChainsOk);
 
-    // The injected bit-rot was caught by a scrub (tail votes agreed,
-    // only payload verification could see it) and healed.
-    EXPECT_EQ(rep.repairStats.scrubCorruptions, 1u);
-    EXPECT_GE(rep.repairStats.quarantines, 1u);
-    EXPECT_GT(rep.repairStats.scrubPasses, 0u);
+        // The injected bit-rot was caught by a scrub (tail votes agreed,
+        // only payload verification could see it) and healed.
+        EXPECT_EQ(rep.repairStats.scrubCorruptions, 1u);
+        EXPECT_GE(rep.repairStats.quarantines, 1u);
+        EXPECT_GT(rep.repairStats.scrubPasses, 0u);
 
-    // Observability: every device reports a full live set and no
-    // quarantined copies at the end.
-    for (const DeviceReport &d : rep.deviceReports) {
-        EXPECT_EQ(d.replicasLive, 3u) << "device " << d.device;
-        EXPECT_EQ(d.quarantinedCopies, 0u) << "device " << d.device;
+        // Observability: every device reports a full live set and no
+        // quarantined copies at the end.
+        for (const DeviceReport &d : rep.deviceReports) {
+            EXPECT_EQ(d.replicasLive, 3u) << "device " << d.device;
+            EXPECT_EQ(d.quarantinedCopies, 0u) << "device " << d.device;
+        }
+
+        // No evidence loss: forensics on the healed cluster reconstructs
+        // the campaign and every victim restores 100% intact.
+        const forensics::ForensicsReport fr = sched.runForensics();
+        EXPECT_TRUE(fr.patientZeroMatch);
+        EXPECT_TRUE(fr.infectionOrderMatch);
+        EXPECT_TRUE(fr.campaignClassMatch);
+        ASSERT_GT(fr.recovery.size(), 0u);
+        for (const forensics::RecoveryOutcome &o : fr.recovery) {
+            EXPECT_DOUBLE_EQ(o.victimIntactAfter, 1.0)
+                << "device " << o.device;
+            EXPECT_EQ(o.unresolved, 0u) << "device " << o.device;
+            EXPECT_NE(o.restoredFromShard, remote::kNoShard);
+        }
+        // The replica-aware recovery plan is present and no worse than
+        // the per-primary greedy plan.
+        ASSERT_EQ(fr.plans.size(), 3u);
+        EXPECT_EQ(fr.plans[2].policy,
+                  forensics::PlanPolicy::ReplicaAware);
+        EXPECT_LE(fr.plans[2].makespan, fr.plans[0].makespan);
     }
-
-    // No evidence loss: forensics on the healed cluster reconstructs
-    // the campaign and every victim restores 100% intact.
-    const forensics::ForensicsReport fr = sched.runForensics();
-    EXPECT_TRUE(fr.patientZeroMatch);
-    EXPECT_TRUE(fr.infectionOrderMatch);
-    EXPECT_TRUE(fr.campaignClassMatch);
-    ASSERT_GT(fr.recovery.size(), 0u);
-    for (const forensics::RecoveryOutcome &o : fr.recovery) {
-        EXPECT_DOUBLE_EQ(o.victimIntactAfter, 1.0)
-            << "device " << o.device;
-        EXPECT_EQ(o.unresolved, 0u) << "device " << o.device;
-        EXPECT_NE(o.restoredFromShard, remote::kNoShard);
-    }
-    // The replica-aware recovery plan is present and no worse than
-    // the per-primary greedy plan.
-    ASSERT_EQ(fr.plans.size(), 3u);
-    EXPECT_EQ(fr.plans[2].policy,
-              forensics::PlanPolicy::ReplicaAware);
-    EXPECT_LE(fr.plans[2].makespan, fr.plans[0].makespan);
 }
 
 TEST(FleetRepair, RepairUnderTrafficIsDeterministic)

@@ -73,6 +73,15 @@ TEST(SegmentChainVerifier, RejectsSkippedSegment)
     EXPECT_EQ(v.fault(), log::ChainFault::BrokenOrder);
     // Failure leaves the verifier resumable at its old position.
     EXPECT_EQ(v.segmentsVerified(), 1u);
+
+    // Forged as well as out of order: authentication is checked
+    // first, since nothing in an unauthenticated header (not even
+    // its prevId) is trusted.
+    log::SealedSegment forged = s2;
+    forged.payload[0] ^= 0x01;
+    EXPECT_FALSE(v.verifyNext(forged, chain.codec()));
+    EXPECT_EQ(v.fault(), log::ChainFault::BadAuthentication);
+    EXPECT_EQ(v.segmentsVerified(), 1u);
 }
 
 TEST(SegmentChainVerifier, RejectsSplicedStream)

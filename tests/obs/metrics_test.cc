@@ -2,12 +2,14 @@
  * @file
  * Tests for the sampled MetricsRegistry: registration-order emission,
  * live-state sampling at snapshot time, histogram rendering,
- * duplicate-name rejection, snapshot determinism, and the fleet-level
- * instrument surface a FleetScheduler registers.
+ * duplicate-name rejection, snapshot determinism, the fleet-level
+ * instrument surface a FleetScheduler registers, and agreement of
+ * every field-table counter between the registry and the reports.
  */
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,20 @@ namespace rssd::obs {
 namespace {
 
 using test::JsonChecker;
+
+/** Current sample of counter @p name; a failure when unregistered. */
+std::uint64_t
+sampleOf(const MetricsRegistry &r, const std::string &name)
+{
+    const std::size_t idx = r.indexOf(name);
+    if (idx == MetricsRegistry::npos) {
+        ADD_FAILURE() << "not registered: " << name;
+        return 0;
+    }
+    std::vector<MetricSample> samples;
+    r.sampleInto(samples);
+    return samples[idx].u64;
+}
 
 TEST(MetricsRegistry, EmitsInRegistrationOrder)
 {
@@ -194,6 +210,65 @@ TEST(MetricsRegistry, FleetRegistersTheInstrumentSurface)
     sched2.registerMetrics(r2);
     sched2.run();
     EXPECT_EQ(json, r2.snapshotJson());
+}
+
+TEST(MetricsRegistry, FieldTablesAgreeWithTheReports)
+{
+    // An outbreak with a mid-run shard crash, scrub-caught bit-rot and
+    // repair, so every field-table counter family moves.
+    fleet::FleetConfig cfg;
+    cfg.devices = 16;
+    cfg.shards = 4;
+    cfg.replication = 3;
+    cfg.seed = 7;
+    cfg.opsPerDevice = 40;
+    cfg.campaign.scenario = fleet::Scenario::Outbreak;
+    cfg.campaign.victimPages = 16;
+    cfg.membership.push_back(
+        {100 * units::MS, fleet::MembershipKind::CrashShard, 1});
+    cfg.bitRot.push_back({110 * units::MS, 2, 1, 2});
+    cfg.repair.enabled = true;
+    cfg.repair.scrubInterval = 10 * units::MS;
+
+    fleet::FleetScheduler sched(cfg);
+    MetricsRegistry r;
+    sched.registerMetrics(r);
+    const fleet::FleetReport rep = sched.run();
+    ASSERT_GT(rep.repairStats.segmentsCopied, 0u);
+    ASSERT_GT(rep.repairStats.scrubCorruptions, 0u);
+    ASSERT_GT(rep.replicationStats.quorumWrites, 0u);
+
+    // Each table row: the report's value equals the registry sample
+    // of the same name (sampled before forensics touches anything).
+    for (const auto &f : remote::kRepairStatsFields) {
+        EXPECT_EQ(sampleOf(r, std::string("repair.") + f.key),
+                  rep.repairStats.*f.member)
+            << f.key;
+    }
+    for (const auto &f : remote::kReplicationStatsFields) {
+        EXPECT_EQ(sampleOf(r, std::string("cluster.") + f.key),
+                  rep.replicationStats.*f.member)
+            << f.key;
+    }
+    for (const fleet::DeviceReport &d : rep.deviceReports) {
+        ASSERT_GT(d.offload.bytesRaw, 0u) << "device " << d.device;
+        const std::string prefix =
+            "device." + std::to_string(d.device) + ".offload.";
+        for (const auto &f : core::kOffloadStatsFields) {
+            EXPECT_EQ(sampleOf(r, prefix + f.key), d.offload.*f.member)
+                << prefix << f.key;
+        }
+    }
+
+    const forensics::ForensicsReport fr = sched.runForensics();
+    ASSERT_NE(sched.evidenceScanner(), nullptr);
+    sched.evidenceScanner()->registerMetrics(r, "forensics.");
+    ASSERT_GT(fr.totalCost.segmentsVerified, 0u);
+    for (const auto &f : forensics::kScanPassCostFields) {
+        EXPECT_EQ(sampleOf(r, std::string("forensics.") + f.key),
+                  fr.totalCost.*f.member)
+            << f.key;
+    }
 }
 
 } // namespace

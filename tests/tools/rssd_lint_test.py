@@ -6,9 +6,11 @@ Strategy: each case builds a sandbox root (a temp dir with the
 fixture copied to a path that puts it in the right rule scope, e.g.
 src/log/ for the P1 hot-path rule) and runs the real linter binary
 against it, asserting on exit code and findings. The D3 cases
-sandbox *copies of the real fleet report TU* and mutate them, so the
-suite proves the exact acceptance property: deleting a j.key() from
-fleet/report.cc without bumping kFleetReportSchema fails the lint.
+sandbox *copies of the real fleet report TU and its field-table
+headers* and mutate them, so the suite proves the exact acceptance
+property: deleting a j.key() from fleet/report.cc, or a row from a
+field table it emits, without bumping kFleetReportSchema fails the
+lint.
 """
 
 import json
@@ -190,12 +192,15 @@ class LintFixtureTest(unittest.TestCase):
     # -- D3: the schema-manifest contract -------------------------------
 
     D3_FILES = {
-        os.path.join(REPO, "src/fleet/report.cc"):
+        os.path.join(REPO, rel): rel for rel in (
             "src/fleet/report.cc",
-        os.path.join(REPO, "src/fleet/report.hh"):
             "src/fleet/report.hh",
-        os.path.join(REPO, "tools/manifests/fleet_report.keys"):
+            # The field tables the fleet report emits.
+            "src/core/offload.hh",
+            "src/remote/backup_cluster.hh",
+            "src/remote/repair_engine.hh",
             "tools/manifests/fleet_report.keys",
+        )
     }
 
     def test_d3_clean_on_pinned_tree(self):
@@ -236,6 +241,41 @@ class LintFixtureTest(unittest.TestCase):
             hits = self.assert_rule_fires(report, "D3", 1)
             self.assertIn("makespanNs", hits[0]["message"])
             self.assertIn("bump", hits[0]["message"])
+
+    def test_d3_table_row_removal_without_bump_fails(self):
+        # A field table in a header the report TU includes is part of
+        # the TU's key set: dropping a row is a layout change too.
+        with tempfile.TemporaryDirectory() as tmp:
+            sandbox_with(tmp, self.D3_FILES)
+            hh = os.path.join(tmp, "src/core/offload.hh")
+            with open(hh) as f:
+                body = f.read()
+            mutated = body.replace(
+                '    {"bytesRaw", &OffloadStats::bytesRaw},\n', "")
+            assert mutated != body, "mutation target vanished"
+            with open(hh, "w") as f:
+                f.write(mutated)
+            proc, report = self.lint_json(tmp)
+            self.assertEqual(proc.returncode, 1)
+            hits = self.assert_rule_fires(report, "D3", 1)
+            self.assertIn("removed bytesRaw", hits[0]["message"])
+            self.assertIn("bump", hits[0]["message"])
+            proc = run_lint("--fix-manifests", root=tmp)
+            self.assertEqual(proc.returncode, 1, proc.stdout)
+            self.assertIn("REFUSED", proc.stderr)
+
+    def test_d3_unresolved_field_table_is_a_finding(self):
+        # A table the lint cannot read (its header is missing) fails
+        # closed instead of silently dropping its keys.
+        with tempfile.TemporaryDirectory() as tmp:
+            files = dict(self.D3_FILES)
+            del files[os.path.join(REPO, "src/core/offload.hh")]
+            sandbox_with(tmp, files)
+            proc, report = self.lint_json(tmp)
+            self.assertEqual(proc.returncode, 1)
+            hits = self.assert_rule_fires(report, "D3", 1)
+            self.assertTrue(any("kOffloadStatsFields" in h["message"]
+                                for h in hits), hits)
 
     def test_d3_fix_manifests_refuses_without_bump(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -14,11 +14,13 @@ those invariants as named, suppressible rules:
       unit that emits via sim::JsonWriter, obs::TraceSink, or the
       bench JSON-Lines writer (unordered iteration order is the
       classic way to break a golden digest)
-  D3  schema manifests: the set of literal j.key("...") strings per
-      report TU is pinned in tools/manifests/*.keys together with
-      the TU's k*Schema constant; changing the key set without
-      bumping the constant fails, and any drift fails until
-      --fix-manifests re-pins it
+  D3  schema manifests: the key set of each report TU — its literal
+      j.key("...") strings plus the rows of every field table it
+      emits via j.fields(..., kTable), read from the src/ headers
+      the TU includes — is pinned in tools/manifests/*.keys together
+      with the TU's k*Schema constant; changing the key set (in the
+      TU or in a table header) without bumping the constant fails,
+      and any drift fails until --fix-manifests re-pins it
   C1  chain-custody locality: resumeFrom / sealPrune / verifyPrune /
       adoptPruneRecord are referenced only from allowlisted files —
       the "ONE re-anchoring primitive" rule
@@ -79,8 +81,9 @@ D1_AREAS = {"src", "examples", "bench"}
 D2_EMITTER_IDENTS = {"JsonWriter", "TraceSink", "JsonReport"}
 D2_UNORDERED_TYPES = {"unordered_map", "unordered_set"}
 
-# D3: report translation units whose literal key set + schema
-# constant are pinned by a committed manifest.
+# D3: report translation units whose key set (literal keys plus the
+# rows of the field tables they emit) + schema constant are pinned by
+# a committed manifest.
 D3_SPECS = (
     {
         "name": "fleet_report",
@@ -544,6 +547,91 @@ def _extract_keys(toks):
     return keys, dynamic
 
 
+def _extract_field_calls(toks):
+    """Table names passed as the last argument of .fields(...) calls
+    (sim::JsonWriter::fields), with the line of each call."""
+    calls = []
+    n = len(toks)
+    for i, t in enumerate(toks):
+        if not (t.kind == "ident" and t.text == "fields" and i >= 1
+                and toks[i - 1].text == "." and i + 1 < n
+                and toks[i + 1].text == "("):
+            continue
+        depth, last_ident = 0, None
+        for u in toks[i + 1:]:
+            if u.text == "(":
+                depth += 1
+            elif u.text == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif u.kind == "ident":
+                last_ident = u.text
+        calls.append((last_ident, t.line))
+    return calls
+
+
+def _extract_tables(toks):
+    """Field tables defined in a token stream: {name: [keys]} for
+    every `U64Field<S> kName[] = { {"key", &S::member}, ... };`."""
+    tables = {}
+    n = len(toks)
+    for i, t in enumerate(toks):
+        if not (t.kind == "ident" and t.text == "U64Field"
+                and i + 1 < n and toks[i + 1].text == "<"):
+            continue
+        j, depth = i + 1, 0
+        while j < n:  # skip the template argument list
+            if toks[j].text == "<":
+                depth += 1
+            elif toks[j].text == ">":
+                depth -= 1
+                if depth == 0:
+                    break
+            j += 1
+        if not (j + 3 < n and toks[j + 1].kind == "ident"
+                and toks[j + 2].text == "[" and toks[j + 3].text == "]"):
+            continue  # a parameter or loop variable, not a table
+        name, keys, depth = toks[j + 1].text, [], 0
+        for k in range(j + 4, n):
+            u = toks[k]
+            if u.text == "{":
+                depth += 1
+                if depth == 2 and k + 1 < n \
+                        and toks[k + 1].kind == "string":
+                    keys.append(_string_value(toks[k + 1].text))
+            elif u.text == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif u.text == ";" and depth == 0:
+                break
+        tables[name] = keys
+    return tables
+
+
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.M)
+
+
+def _include_closure(root, relpath):
+    """src/ headers reachable from relpath through quoted includes
+    (which name paths relative to src/), in discovery order."""
+    seen, stack = [], [relpath]
+    while stack:
+        path = os.path.join(root, stack.pop())
+        if not os.path.exists(path):
+            continue
+        with open(path, "r", encoding="utf-8", errors="replace") as f:
+            text = f.read()
+        for inc in INCLUDE_RE.findall(text):
+            hdr = "src/" + inc
+            if hdr not in seen and hdr != relpath \
+                    and os.path.exists(os.path.join(root, hdr)):
+                seen.append(hdr)
+                stack.append(hdr)
+    return seen
+
+
 def _string_value(lit):
     body = lit
     if body.startswith('"'):
@@ -602,6 +690,9 @@ def _write_manifest(path, spec, schema, keys, dynamic):
 
 
 def _d3_current(root, spec):
+    """The TU's current key set: literal keys plus the rows of every
+    field table it emits. "unresolved" lists .fields() calls whose
+    table is not defined in any src/ header the TU includes."""
     tu_path = os.path.join(root, spec["tu"])
     if not os.path.exists(tu_path):
         return None
@@ -609,8 +700,24 @@ def _d3_current(root, spec):
         text = f.read()
     toks, _ = tokenize(spec["tu"], text)
     keys, dynamic = _extract_keys(toks)
+    calls = _extract_field_calls(toks)
+    tables = {}
+    if calls:
+        for hdr in _include_closure(root, spec["tu"]):
+            with open(os.path.join(root, hdr), "r", encoding="utf-8",
+                      errors="replace") as f:
+                htoks, _ = tokenize(hdr, f.read())
+            for name, rows in _extract_tables(htoks).items():
+                tables.setdefault(name, rows)
+    unresolved = []
+    for name, line in calls:
+        if name in tables:
+            keys.update(tables[name])
+        else:
+            unresolved.append((name, line))
     schema = _extract_constant(root, spec["header"], spec["constant"])
-    return {"schema": schema, "keys": keys, "dynamic": dynamic}
+    return {"schema": schema, "keys": keys, "dynamic": dynamic,
+            "unresolved": unresolved}
 
 
 def check_d3(root):
@@ -629,6 +736,11 @@ def check_d3(root):
                 f"schema constant {spec['constant']} not found — the "
                 "report layout must be pinned by a named constant"))
             continue
+        for name, line in cur["unresolved"]:
+            out.append(Finding(
+                "D3", spec["tu"], line,
+                f"field table `{name}` is not defined in any src/ "
+                "header this TU includes — its keys cannot be pinned"))
         if man is None:
             out.append(Finding(
                 "D3", spec["tu"], 1,
@@ -692,6 +804,11 @@ def fix_manifests(root):
         if cur["schema"] is None:
             errors.append(f"{spec['tu']}: schema constant "
                           f"{spec['constant']} not found")
+            continue
+        if cur["unresolved"]:
+            errors.append(f"{spec['tu']}: field table(s) "
+                          + ", ".join(n for n, _ in cur["unresolved"])
+                          + " not found in its included headers")
             continue
         mpath = _manifest_path(root, spec)
         man = _read_manifest(mpath)
@@ -916,10 +1033,15 @@ def main(argv=None):
         findings.extend(lint_file(root, rel))
     # D3 is a whole-tree property, not a per-file one; skip it when
     # linting an explicit subset (pre-commit on changed files) unless
-    # a report TU or manifest is in the subset.
+    # a report TU, a header it includes (field tables live there) or
+    # a manifest is in the subset.
+    d3_inputs = set()
+    if args.files:
+        for s in D3_SPECS:
+            d3_inputs |= {s["tu"], s["header"]}
+            d3_inputs.update(_include_closure(root, s["tu"]))
     run_d3 = not args.files or any(
-        f.startswith(MANIFEST_DIR) or f in {s["tu"] for s in D3_SPECS}
-        or f in {s["header"] for s in D3_SPECS} for f in files)
+        f.startswith(MANIFEST_DIR) or f in d3_inputs for f in files)
     if run_d3:
         findings.extend(check_d3(root))
 
