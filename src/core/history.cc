@@ -1,9 +1,5 @@
 #include "core/history.hh"
 
-#include <algorithm>
-#include <deque>
-
-#include "log/chain_verify.hh"
 #include "sim/logging.hh"
 
 namespace rssd::core {
@@ -38,8 +34,6 @@ void
 DeviceHistory::build(const remote::BackupStore &store,
                      remote::StreamId stream)
 {
-    store_ = &store;
-    stream_ = stream;
     RssdDevice &device = device_;
     VirtualClock &clock = device.clock();
 
@@ -52,31 +46,50 @@ DeviceHistory::build(const remote::BackupStore &store,
     }
 
     // Fetch this device's sealed segments back over the
-    // server->device direction of the link, in chain order, then
-    // open locally. (In a shared shard store only the device's own
-    // stream is fetched — other tenants' evidence is neither needed
-    // nor decryptable with this device's key.)
-    const std::deque<std::uint32_t> &stored =
-        store.streamSegments(stream);
+    // server->device direction of the link, in chain order. (In a
+    // shared shard store only the device's own stream is fetched —
+    // other tenants' evidence is neither needed nor decryptable
+    // with this device's key.) Every stored segment crosses the
+    // link, whether or not it verifies below.
     Tick t = clock.now();
-    segments_.reserve(stored.size());
-    for (const std::uint32_t idx : stored) {
-        const log::SealedSegment &sealed = store.sealedSegment(idx);
-        t = device.link().rx().transmit(sealed.wireSize(), t);
+    for (const std::uint32_t idx : store.streamSegments(stream)) {
+        const std::uint64_t wire = store.sealedSegment(idx).wireSize();
+        t = device.link().rx().transmit(wire, t);
         cost_.segmentsFetched++;
-        cost_.bytesFetched += sealed.wireSize();
-        segments_.push_back(device.codec().open(sealed));
+        cost_.bytesFetched += wire;
     }
     cost_.fetchCompleteAt = t;
     clock.advanceTo(t);
 
-    // Merge entries: remote segments in id order, then the local tail.
-    for (const log::Segment &seg : segments_) {
-        for (const log::LogEntry &e : seg.entries)
+    // Verify and open in one pass with the device's own key: HMACs,
+    // segment order and the per-entry chain (the same rules the
+    // store enforced at ingest). Only the verified prefix is merged;
+    // a fault leaves the suffix — and the local tail that would
+    // splice onto it — out of the history.
+    log::SegmentChainVerifier verifier;
+    std::uint64_t pos = 0;
+    // Sized once for the whole surviving history (remote + local
+    // tail): growing it segment by segment fragments the heap.
+    entries_.reserve(device.opLog().totalAppended() - horizonSeq_);
+    fault_ = store.replayStream(
+        stream, device.codec(), verifier, pos,
+        [this](log::Segment &opened) {
+            for (log::LogEntry &e : opened.entries)
+                entries_.push_back(std::move(e));
+            // Keep only the page records; the entries now live once.
+            opened.entries = std::vector<log::LogEntry>();
+            segments_.push_back(std::move(opened));
+        });
+    // The local tail must extend the last verified segment's chain
+    // tail — or, with no surviving segments, the prune record's
+    // anchor (everything offloaded was expired) / the genesis digest
+    // (nothing was ever offloaded).
+    spliceTail_ = pos > 0 ? verifier.chainTail()
+                          : log::OperationLog::genesisDigest();
+    if (fault_ == log::ChainFault::None) {
+        for (const log::LogEntry &e : device.opLog().entries())
             entries_.push_back(e);
     }
-    for (const log::LogEntry &e : device.opLog().entries())
-        entries_.push_back(e);
 
     for (std::uint32_t i = 0; i < entries_.size(); i++)
         indexEntry(i);
@@ -139,38 +152,11 @@ DeviceHistory::indexEntry(std::uint32_t idx)
 bool
 DeviceHistory::verifyEvidenceChain() const
 {
-    // 1. Remote side: HMACs, segment ordering, per-entry chain of
-    //    this device's stream (shared verification core — the same
-    //    rules the store enforced at ingest and the forensics
-    //    scanner replays shard-side). A pruned stream verifies from
-    //    its signed re-anchor record instead of genesis.
-    const log::PruneRecord *prune = store_->pruneRecordOf(stream_);
-    log::SegmentChainVerifier verifier;
-    if (prune && !verifier.resumeFrom(*prune, device_.codec()))
-        return false;
-    for (const std::uint32_t idx : store_->streamSegments(stream_)) {
-        if (!verifier.verifyNext(store_->sealedSegment(idx),
-                                 device_.codec())) {
-            return false;
-        }
-    }
-
-    // 2. Local tail chain.
-    if (!device_.opLog().verifyHeldChain())
-        return false;
-
-    // 3. Splice: the local tail's anchor must equal the last remote
-    //    segment's chain tail — or, with no surviving segments, the
-    //    prune record's anchor (everything offloaded was expired) /
-    //    the genesis digest (nothing was ever offloaded).
-    crypto::Digest expect_anchor;
-    if (!segments_.empty())
-        expect_anchor = segments_.back().chainTail;
-    else if (prune)
-        expect_anchor = prune->anchor;
-    else
-        expect_anchor = log::OperationLog::genesisDigest();
-    return device_.opLog().anchorDigest() == expect_anchor;
+    // The remote chain was verified as it was decoded; what is left
+    // is the local tail chain and the splice between the two.
+    return fault_ == log::ChainFault::None &&
+           device_.opLog().verifyHeldChain() &&
+           device_.opLog().anchorDigest() == spliceTail_;
 }
 
 const VersionRecord *

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/rssd_device.hh"
+#include "log/chain_verify.hh"
 #include "log/oplog.hh"
 #include "log/segment.hh"
 #include "remote/backup_cluster.hh"
@@ -54,8 +55,14 @@ class DeviceHistory
   public:
     /**
      * Build the merged history at the current simulated time.
-     * Fetches (and keeps open) every remote segment. Single-device
-     * mode: the device owns its in-process BackupStore.
+     * Fetches every remote segment over the link, then verifies and
+     * opens the stored chain in one pass (BackupStore::replayStream
+     * under the device's own key). Only the verified prefix is
+     * merged: a segment that fails verification ends the history
+     * there — the local tail is left out too — and
+     * verifyEvidenceChain() reports false; nothing aborts.
+     * Single-device mode: the device owns its in-process
+     * BackupStore.
      */
     explicit DeviceHistory(RssdDevice &device);
 
@@ -91,11 +98,15 @@ class DeviceHistory
     }
 
     /**
-     * Verify the complete evidence chain: remote segment chain, the
-     * per-entry hash chain across all segments, the local tail
+     * Verify the complete evidence chain: the remote segment chain
+     * and its per-entry hash chain (checked once, while the history
+     * was built — no segment is decoded again here), the local tail
      * chain, and the splice point between them.
      */
     bool verifyEvidenceChain() const;
+
+    /** First fault in the stored chain (None: it verified whole). */
+    log::ChainFault chainFault() const { return fault_; }
 
     /** Version lookup by dataSeq. */
     const VersionRecord *findVersion(std::uint64_t data_seq) const;
@@ -130,9 +141,8 @@ class DeviceHistory
     void indexEntry(std::uint32_t idx);
 
     RssdDevice &device_;
-    const remote::BackupStore *store_ = nullptr;
-    remote::StreamId stream_ = remote::kDefaultStream;
-    std::vector<log::Segment> segments_; ///< opened remote segments
+    /** Verified remote segments; their entries moved to entries_. */
+    std::vector<log::Segment> segments_;
     std::vector<log::LogEntry> entries_;
     std::unordered_map<std::uint64_t, VersionRecord> versions_;
     std::unordered_map<std::uint64_t, float> entropyBySeq_;
@@ -142,6 +152,10 @@ class DeviceHistory
     std::vector<std::uint8_t> emptyContent_;
     std::uint64_t horizonSeq_ = 0; ///< first surviving logSeq
     bool pruned_ = false;
+    log::ChainFault fault_ = log::ChainFault::None;
+    /** Digest the local tail must extend: the verified remote tail,
+     *  the prune anchor, or genesis. */
+    crypto::Digest spliceTail_{};
     remote::ShardId sourceShard_ = remote::kNoShard;
     HistoryCost cost_;
 };

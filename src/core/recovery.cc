@@ -66,11 +66,14 @@ RecoveryEngine::recoverFiltered(std::uint64_t target_seq,
     report.startedAt = device.clock().now();
     report.bytesFetched = history_.cost().bytesFetched;
 
-    // Retention-GC horizon guard: the state before the first
-    // surviving entry cannot be reconstructed — fail clearly.
-    if (history_.pruned() &&
-        target_seq < history_.prunedHorizonSeq()) {
-        report.beforePrunedHorizon = true;
+    // Trust and retention-GC guards: a history cut short by a chain
+    // fault, or a target before the first surviving entry, cannot
+    // be reconstructed — fail clearly instead of restoring part of
+    // it.
+    report.chainBroken = history_.chainFault() != log::ChainFault::None;
+    report.beforePrunedHorizon =
+        history_.pruned() && target_seq < history_.prunedHorizonSeq();
+    if (report.chainBroken || report.beforePrunedHorizon) {
         report.finishedAt = report.startedAt;
         return report;
     }

@@ -38,10 +38,21 @@ struct RecoveryReport
      * a silent partial restore.
      */
     bool beforePrunedHorizon = false;
+    /**
+     * The history's stored chain failed verification
+     * (DeviceHistory::chainFault()): the log past the fault is
+     * untrusted and was never merged, so no target state can be
+     * reconstructed. The run does nothing, as above.
+     */
+    bool chainBroken = false;
     Tick startedAt = 0;
     Tick finishedAt = 0;
 
-    bool ok() const { return unresolved == 0 && !beforePrunedHorizon; }
+    bool
+    ok() const
+    {
+        return unresolved == 0 && !beforePrunedHorizon && !chainBroken;
+    }
     Tick duration() const { return finishedAt - startedAt; }
 };
 

@@ -143,17 +143,19 @@ Sha256::finish()
 {
     panicIf(finished_, "Sha256::finish called twice");
 
+    // Pad in place: 0x80, zeros, then the 64-bit big-endian bit
+    // length in the last 8 bytes — spilling into a second block when
+    // the tail leaves no room for the length.
     const std::uint64_t bit_len = totalLen_ * 8;
-    const std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    const std::uint8_t zero = 0x00;
-    while (bufferLen_ != 56)
-        update(&zero, 1);
-
-    std::uint8_t len_be[8];
+    buffer_[bufferLen_] = 0x80;
+    std::memset(buffer_.data() + bufferLen_ + 1, 0, 63 - bufferLen_);
+    if (bufferLen_ >= 56) {
+        processBlock(buffer_.data());
+        buffer_.fill(0);
+    }
     for (int i = 0; i < 8; i++)
-        len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    update(len_be, 8);
+        buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    processBlock(buffer_.data());
     finished_ = true;
 
     Digest out;

@@ -1,7 +1,6 @@
 #include "forensics/evidence.hh"
 
 #include <algorithm>
-#include <deque>
 
 #include "sim/logging.hh"
 
@@ -83,8 +82,6 @@ EvidenceScanner::scan()
         const remote::BackupStore &store =
             cluster_.shardStore(st.source);
 
-        const std::deque<std::uint32_t> &stored =
-            store.streamSegments(device);
         const std::uint64_t pruned = store.prunedSegments(device);
         const log::PruneRecord *rec = store.pruneRecordOf(device);
         st.evidence.segmentsPruned = pruned;
@@ -109,44 +106,30 @@ EvidenceScanner::scan()
         if (!st.evidence.intact)
             continue; // untrusted suffix: never extend past a fault
 
-        const log::SegmentCodec &codec = store.streamCodec(device);
-
-        // Retention GC overtook the cursor (or the stream was
-        // already pruned at first contact): resume from the
-        // signed prune record. Segments expired before we ever
-        // verified them are evidence lost to the analysis —
-        // counted, never silently skipped.
-        if (st.absPos < pruned) {
-            if (rec == nullptr ||
-                !st.verifier.resumeFrom(*rec, codec)) {
-                st.evidence.intact = false;
-                st.evidence.fault =
-                    log::ChainFault::BadAuthentication;
-                continue;
-            }
-            st.evidence.segmentsPrunedUnseen += pruned - st.absPos;
-            st.evidence.reanchors++;
-            st.absPos = pruned;
-        }
-
+        // Extend the verified prefix from the cursor. Retention GC
+        // may have overtaken it (or the stream was already pruned at
+        // first contact): the replay then resumes from the signed
+        // prune record, and segments expired before we ever verified
+        // them are evidence lost to the analysis — counted, never
+        // silently skipped.
+        const std::uint64_t pos_before = st.absPos;
         const std::uint64_t before = st.verifier.bytesVerified();
         const std::uint64_t entries_before =
             st.verifier.entriesVerified();
-        while (st.absPos - pruned < stored.size()) {
-            const std::uint32_t idx = stored[st.absPos - pruned];
-            log::Segment opened;
-            if (!st.verifier.verifyNext(store.sealedSegment(idx),
-                                        codec, &opened)) {
-                st.evidence.intact = false;
-                st.evidence.fault = st.verifier.fault();
-                break;
-            }
-            st.absPos++;
-            st.evidence.segmentsVerified++;
-            pass.segmentsVerified++;
-            for (log::LogEntry &e : opened.entries)
-                st.evidence.entries.push_back(std::move(e));
+        const log::ChainFault fault = store.replayStream(
+            device, store.streamCodec(device), st.verifier, st.absPos,
+            [&](log::Segment &opened) {
+                st.evidence.segmentsVerified++;
+                pass.segmentsVerified++;
+                for (log::LogEntry &e : opened.entries)
+                    st.evidence.entries.push_back(std::move(e));
+            });
+        if (pos_before < pruned && st.absPos >= pruned) {
+            st.evidence.segmentsPrunedUnseen += pruned - pos_before;
+            st.evidence.reanchors++;
         }
+        st.evidence.intact = fault == log::ChainFault::None;
+        st.evidence.fault = fault;
         st.evidence.bytesVerified = st.verifier.bytesVerified();
         pass.bytesVerified += st.verifier.bytesVerified() - before;
         pass.entriesReplayed +=

@@ -16,9 +16,16 @@
  * what is needed to verify segment k+1, so a caller that keeps the
  * verifier alive pays only for new segments when more evidence
  * arrives — the O(new) re-analysis property the cluster-side
- * forensics subsystem is built on. BackupStore::verifyFullChain()
- * and the forensics evidence scanner share this class; there is no
- * second copy of the chain rules to drift.
+ * forensics subsystem is built on.
+ *
+ * Over a *stored* stream the verifier is driven by exactly one loop,
+ * BackupStore::replayStream(): it re-anchors at the signed prune
+ * record, verifies the stored segments in chain order, and hands
+ * each verified segment to the caller. verifyStreamChain() (and so
+ * verifyFullChain()), the forensics evidence scanner and
+ * core::DeviceHistory all read through it; there is no second copy
+ * of the chain rules or of the resume-and-verify loop to drift
+ * (lint rule C1 keeps resumeFrom() inside log/ and BackupStore).
  */
 
 #ifndef RSSD_LOG_CHAIN_VERIFY_HH

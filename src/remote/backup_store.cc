@@ -44,6 +44,22 @@ BackupStore::hasStream(StreamId stream) const
     return streams_.count(stream) != 0;
 }
 
+BackupStore::StreamState &
+BackupStore::stateOf(StreamId stream)
+{
+    auto it = streams_.find(stream);
+    panicIf(it == streams_.end(), "BackupStore: unknown stream");
+    return it->second;
+}
+
+const BackupStore::StreamState &
+BackupStore::stateOf(StreamId stream) const
+{
+    auto it = streams_.find(stream);
+    panicIf(it == streams_.end(), "BackupStore: unknown stream");
+    return it->second;
+}
+
 bool
 BackupStore::reject(RejectReason why)
 {
@@ -278,17 +294,13 @@ BackupStore::runRetentionGc(Tick now)
 void
 BackupStore::setEvictionHold(StreamId stream, bool held)
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    it->second.evictionHold = held;
+    stateOf(stream).evictionHold = held;
 }
 
 bool
 BackupStore::evictionHold(StreamId stream) const
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    return it->second.evictionHold;
+    return stateOf(stream).evictionHold;
 }
 
 std::uint64_t
@@ -306,9 +318,8 @@ BackupStore::heldStreams() const
 const log::PruneRecord *
 BackupStore::pruneRecordOf(StreamId stream) const
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    return it->second.prune ? &*it->second.prune : nullptr;
+    const StreamState &st = stateOf(stream);
+    return st.prune ? &*st.prune : nullptr;
 }
 
 std::uint64_t
@@ -321,9 +332,7 @@ BackupStore::prunedSegments(StreamId stream) const
 std::uint64_t
 BackupStore::streamLiveBytes(StreamId stream) const
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    return it->second.liveBytes;
+    return stateOf(stream).liveBytes;
 }
 
 std::uint64_t
@@ -365,17 +374,13 @@ BackupStore::streamOf(std::uint64_t idx) const
 const std::deque<std::uint32_t> &
 BackupStore::streamSegments(StreamId stream) const
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    return it->second.stored;
+    return stateOf(stream).stored;
 }
 
 log::Segment
 BackupStore::openSegment(std::uint64_t idx) const
 {
-    auto it = streams_.find(streamOf(idx));
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    return it->second.codec.open(sealedSegment(idx));
+    return stateOf(streamOf(idx)).codec.open(sealedSegment(idx));
 }
 
 std::vector<StreamId>
@@ -393,29 +398,46 @@ BackupStore::streamIds() const
 const log::SegmentCodec &
 BackupStore::streamCodec(StreamId stream) const
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    return it->second.codec;
+    return stateOf(stream).codec;
 }
 
 bool
 BackupStore::verifyStreamChain(StreamId stream) const
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    const StreamState &st = it->second;
-
     log::SegmentChainVerifier verifier;
-    // A pruned stream verifies from its signed re-anchor record
-    // instead of genesis; the record substitutes for the
-    // expired prefix.
-    if (st.prune && !verifier.resumeFrom(*st.prune, st.codec))
-        return false;
-    for (const std::uint32_t idx : st.stored) {
-        if (!verifier.verifyNext(segments_[idx], st.codec))
-            return false;
+    std::uint64_t pos = 0;
+    return replayStream(stream, streamCodec(stream), verifier, pos) ==
+           log::ChainFault::None;
+}
+
+log::ChainFault
+BackupStore::replayStream(
+    StreamId stream, const log::SegmentCodec &codec,
+    log::SegmentChainVerifier &verifier, std::uint64_t &abs_pos,
+    const std::function<void(log::Segment &)> &visit) const
+{
+    const StreamState &st = stateOf(stream);
+
+    // Positions inside the pruned prefix resume from the signed
+    // re-anchor record; the record substitutes for the expired
+    // segments.
+    const std::uint64_t pruned =
+        st.prune ? st.prune->segmentsPruned : 0;
+    if (abs_pos < pruned) {
+        if (!verifier.resumeFrom(*st.prune, codec))
+            return verifier.fault();
+        abs_pos = pruned;
     }
-    return true;
+    for (; abs_pos - pruned < st.stored.size(); abs_pos++) {
+        log::Segment opened;
+        if (!verifier.verifyNext(segments_[st.stored[abs_pos - pruned]],
+                                 codec, visit ? &opened : nullptr)) {
+            return verifier.fault();
+        }
+        if (visit)
+            visit(opened);
+    }
+    return log::ChainFault::None;
 }
 
 bool
@@ -433,9 +455,7 @@ void
 BackupStore::adoptPruneRecord(StreamId stream,
                               const log::PruneRecord &record)
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    StreamState &st = it->second;
+    StreamState &st = stateOf(stream);
     panicIf(st.lastId != log::kNoSegment || st.prune.has_value(),
             "BackupStore: prune adoption on a stream with history");
     panicIf(record.stream != stream,
@@ -451,9 +471,7 @@ BackupStore::adoptPruneRecord(StreamId stream,
 void
 BackupStore::releaseStream(StreamId stream)
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    StreamState &st = it->second;
+    StreamState &st = stateOf(stream);
     for (const std::uint32_t idx : st.stored) {
         const std::uint64_t wire = segments_[idx].wireSize();
         used_ -= wire;
@@ -462,27 +480,24 @@ BackupStore::releaseStream(StreamId stream)
         segmentPruned_[idx] = 1;
         freeSlots_.push_back(idx);
     }
-    streams_.erase(it);
+    streams_.erase(stream);
 }
 
 BackupStore::StreamTail
 BackupStore::streamTail(StreamId stream) const
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
+    const StreamState &st = stateOf(stream);
     StreamTail t;
-    t.lastId = it->second.lastId;
-    t.chainTail = it->second.chainTail;
-    t.haveTail = it->second.haveTail;
+    t.lastId = st.lastId;
+    t.chainTail = st.chainTail;
+    t.haveTail = st.haveTail;
     return t;
 }
 
 void
 BackupStore::corruptStoredSegment(StreamId stream, std::uint64_t k)
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    StreamState &st = it->second;
+    StreamState &st = stateOf(stream);
     panicIf(k >= st.stored.size(),
             "BackupStore: corruption index past stream");
     log::SealedSegment &sealed = segments_[st.stored[k]];
@@ -496,9 +511,7 @@ BackupStore::injectBitRot(StreamId stream, std::uint64_t k,
                           std::size_t first_byte,
                           std::size_t byte_count)
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    StreamState &st = it->second;
+    StreamState &st = stateOf(stream);
     panicIf(k >= st.stored.size(),
             "BackupStore: bit-rot index past stream");
     log::SealedSegment &sealed = segments_[st.stored[k]];
@@ -518,17 +531,13 @@ BackupStore::injectBitRot(StreamId stream, std::uint64_t k,
 void
 BackupStore::setQuarantined(StreamId stream, bool quarantined)
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    it->second.quarantined = quarantined;
+    stateOf(stream).quarantined = quarantined;
 }
 
 bool
 BackupStore::quarantined(StreamId stream) const
 {
-    auto it = streams_.find(stream);
-    panicIf(it == streams_.end(), "BackupStore: unknown stream");
-    return it->second.quarantined;
+    return stateOf(stream).quarantined;
 }
 
 std::uint64_t

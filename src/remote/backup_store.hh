@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -245,6 +246,25 @@ class BackupStore : public net::CapsuleTarget
     bool verifyStreamChain(StreamId stream) const;
 
     /**
+     * The one stored-chain replay loop: extend @p verifier over
+     * @p stream's stored segments from absolute position @p abs_pos
+     * (counted from the stream's genesis: pruned + verified).
+     * When @p abs_pos lies inside the pruned prefix, the verifier
+     * first re-anchors from the signed prune record and @p abs_pos
+     * moves to the horizon (a forged record yields
+     * BadAuthentication). Each segment that verifies under @p codec
+     * advances @p abs_pos and is handed, opened, to @p visit (which
+     * may move out of it), in chain order. Stops at the first fault
+     * and returns it (None: the whole stored suffix verified).
+     * Every reader of a stored chain — verifyStreamChain(), the
+     * forensics scanner, DeviceHistory — goes through here.
+     */
+    log::ChainFault replayStream(
+        StreamId stream, const log::SegmentCodec &codec,
+        log::SegmentChainVerifier &verifier, std::uint64_t &abs_pos,
+        const std::function<void(log::Segment &)> &visit = {}) const;
+
+    /**
      * Fault injection (tests only): flip one byte in the @p k-th
      * live stored segment of @p stream, simulating silent replica
      * corruption. The chain metadata is untouched, so only payload
@@ -388,6 +408,10 @@ class BackupStore : public net::CapsuleTarget
     };
 
     bool reject(RejectReason why);
+
+    /** State of registered @p stream; panic()s on an unknown id. */
+    StreamState &stateOf(StreamId stream);
+    const StreamState &stateOf(StreamId stream) const;
 
     /** Tombstone the oldest stored segment of @p st, re-signing the
      *  stream's prune record. @p pressure selects the stats bucket. */

@@ -12,6 +12,7 @@
 #include "core/analyzer.hh"
 #include "core/recovery.hh"
 #include "core/rssd_device.hh"
+#include "forensics/evidence.hh"
 #include "nvme/local_ssd.hh"
 #include "workload/generator.hh"
 
@@ -176,6 +177,113 @@ TEST(EndToEnd, RssdDefenseWrapperMatchesManualPipeline)
     EXPECT_TRUE(defense.lastAnalysis().chainIntact);
     EXPECT_TRUE(defense.lastRecovery().ok());
     EXPECT_DOUBLE_EQ(victim.intactFraction(defense.device()), 1.0);
+}
+
+/** Writes @p pages pages (LPAs cycling over 16) and drains offload,
+ *  then leaves a few more entries in the local (un-offloaded) tail. */
+void
+writeWithLocalTail(core::RssdDevice &dev, int pages)
+{
+    for (int i = 0; i < pages + 3; i++) {
+        if (i == pages)
+            dev.drainOffload();
+        dev.writePage(static_cast<flash::Lpa>(i % 16),
+                      std::vector<std::uint8_t>(
+                          dev.pageSize(), static_cast<std::uint8_t>(i)));
+    }
+}
+
+/** Log entries held by the first @p k stored segments of @p stream. */
+std::uint64_t
+entriesBefore(const remote::BackupStore &store, remote::StreamId stream,
+              std::uint64_t k)
+{
+    std::uint64_t n = 0;
+    for (std::uint64_t i = 0; i < k; i++)
+        n += store.openSegment(store.streamSegments(stream)[i])
+                 .entries.size();
+    return n;
+}
+
+TEST(EndToEnd, OneStoredFaultFailsEveryReaderClosed)
+{
+    // The same rot in the k-th stored segment, read by every stored-
+    // chain reader: each must stop at the fault, say so, and keep
+    // running — never abort, never merge past it.
+    core::RssdConfig cfg = core::RssdConfig::forTests();
+    cfg.segmentPages = 8;
+    cfg.pumpThreshold = 8;
+    constexpr std::uint64_t k = 2;
+
+    VirtualClock clock, twin_clock;
+    core::RssdDevice dev(cfg, clock);
+    core::RssdDevice twin(cfg, twin_clock);
+    writeWithLocalTail(dev, 64);
+    writeWithLocalTail(twin, 64);
+    ASSERT_GT(dev.opLog().size(), 0u);
+    remote::BackupStore &store = dev.backupStore();
+    ASSERT_GT(store.streamSegments(remote::kDefaultStream).size(), k + 1);
+    store.injectBitRot(remote::kDefaultStream, k, 7, 5);
+
+    // 1. The store's own whole-stream check.
+    EXPECT_FALSE(store.verifyStreamChain(remote::kDefaultStream));
+    EXPECT_TRUE(twin.backupStore().verifyStreamChain(
+        remote::kDefaultStream));
+
+    // 2. DeviceHistory + analyzer: chain reported broken, history
+    //    ends with the segment before the rot (no later segment and
+    //    no local tail), fetch cost unchanged.
+    core::DeviceHistory history(dev);
+    core::DeviceHistory twin_history(twin);
+    EXPECT_EQ(history.chainFault(), log::ChainFault::BadAuthentication);
+    EXPECT_EQ(twin_history.chainFault(), log::ChainFault::None);
+    core::PostAttackAnalyzer analyzer(history);
+    EXPECT_FALSE(analyzer.analyze().chainIntact);
+    EXPECT_FALSE(history.verifyEvidenceChain());
+
+    const std::uint64_t prefix = entriesBefore(
+        twin.backupStore(), remote::kDefaultStream, k);
+    ASSERT_GT(prefix, 0u);
+    ASSERT_EQ(history.entries().size(), prefix);
+    for (std::uint64_t i = 0; i < prefix; i++)
+        EXPECT_EQ(history.entries()[i].chain,
+                  twin_history.entries()[i].chain);
+    EXPECT_GT(twin_history.entries().size(), prefix);
+
+    EXPECT_EQ(history.cost().segmentsFetched,
+              twin_history.cost().segmentsFetched);
+    EXPECT_EQ(history.cost().bytesFetched,
+              twin_history.cost().bytesFetched);
+    EXPECT_EQ(history.cost().fetchCompleteAt,
+              twin_history.cost().fetchCompleteAt);
+
+    // Recovery refuses a history cut short by the fault rather than
+    // restoring the part it can see.
+    core::RecoveryEngine engine(history);
+    const core::RecoveryReport rec = engine.recoverToLogSeq(0);
+    EXPECT_TRUE(rec.chainBroken);
+    EXPECT_FALSE(rec.ok());
+    EXPECT_EQ(rec.pagesRestored, 0u);
+
+    // 3. The forensics scanner on a cluster copy with the same rot.
+    remote::BackupClusterConfig ccfg;
+    ccfg.shards = 1;
+    remote::BackupCluster cluster(ccfg);
+    remote::ClusterPortal portal(cluster, 0);
+    VirtualClock fleet_clock;
+    core::RssdDevice fleet_dev(cfg, fleet_clock, portal);
+    cluster.attachDevice(0, fleet_dev.codec());
+    writeWithLocalTail(fleet_dev, 64);
+    cluster.mutableShardStore(0).injectBitRot(0, k, 7, 5);
+
+    forensics::EvidenceScanner scanner(cluster);
+    scanner.scan();
+    const forensics::StreamEvidence &ev = scanner.evidence(0);
+    EXPECT_FALSE(ev.intact);
+    EXPECT_EQ(ev.fault, history.chainFault());
+    EXPECT_EQ(ev.segmentsVerified, k);
+    EXPECT_EQ(ev.entries.size(),
+              entriesBefore(cluster.shardStore(0), 0, k));
 }
 
 } // namespace

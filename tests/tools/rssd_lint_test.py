@@ -137,6 +137,20 @@ class LintFixtureTest(unittest.TestCase):
             self.assertIn("resumeFrom", msgs)
             self.assertIn("verifyPrune", msgs)
 
+    def test_c1_fires_on_resume_in_device_history(self):
+        # DeviceHistory replays its stream through
+        # BackupStore::replayStream; a direct re-anchor there would be
+        # a second copy of the loop.
+        with tempfile.TemporaryDirectory() as tmp:
+            sandbox_with(tmp, {
+                os.path.join(FIXTURES, "bad_c1.cc"):
+                    "src/core/history.cc"})
+            proc, report = self.lint_json(tmp)
+            self.assertEqual(proc.returncode, 1)
+            hits = self.assert_rule_fires(report, "C1", 2)
+            self.assertIn("resumeFrom",
+                          " ".join(h["message"] for h in hits))
+
     def test_c1_quiet_on_allowlisted_file(self):
         # The same references are fine from the owning layer.
         with tempfile.TemporaryDirectory() as tmp:

@@ -115,10 +115,10 @@ MANIFEST_DIR = "tools/manifests"
 # C1: custody symbols and the only files allowed to reference them.
 # Scope: src/ — tests exercise the primitives directly by design.
 C1_CUSTODY = {
+    # One stored-chain replay loop: BackupStore::replayStream.
     "resumeFrom": {
         "src/log/chain_verify.hh", "src/log/chain_verify.cc",
-        "src/remote/backup_store.cc", "src/core/history.cc",
-        "src/forensics/evidence.cc",
+        "src/remote/backup_store.cc",
     },
     "sealPrune": {
         "src/log/segment.hh", "src/log/segment.cc",
