@@ -15,24 +15,15 @@
 #include <utility>
 #include <vector>
 
+#include "bench/smoke.hh"
 #include "core/rssd_config.hh"
+#include "crypto/chacha20.hh"
+#include "crypto/crc32.hh"
+#include "crypto/sha256.hh"
 #include "flash/nand.hh"
 #include "sim/stats.hh"
 
 namespace rssd::bench {
-
-/**
- * True when RSSD_SMOKE is set in the environment. The ctest smoke
- * suite sets it so every bench runs in a seconds-long configuration;
- * the numbers it prints are then *not* paper-comparable.
- */
-inline bool
-smoke()
-{
-    // rssd-lint: allow-next-line(D1) smoke switch scales iteration counts only; results are labeled non-comparable
-    static const bool on = std::getenv("RSSD_SMOKE") != nullptr;
-    return on;
-}
 
 /** Scale an iteration/request count down for smoke runs. */
 inline std::uint64_t
@@ -63,13 +54,15 @@ sweep(std::initializer_list<T> points)
  * <path> (JSON-Lines), e.g.:
  *
  *   {"bench":"offload_path",
- *    "meta":{"build":"Release","native":1,"smoke":1},
+ *    "meta":{"build":"Release","crc32c":"sse4.2","sha256":"sha-ni",
+ *            "chacha20":"avx2","smoke":1},
  *    "config":{"link_gbps":"25","content":"typical"},
  *    "metrics":{"offload_MiBps":812.4,"wire_MiBps":433.1}}
  *
  * so the perf trajectory can be tracked across PRs by diffing or
  * plotting the artifacts. Every record carries a "meta" stamp (build
- * type, RSSD_NATIVE, smoke flag) so CI artifacts are self-describing:
+ * type, the crypto kernels this CPU dispatched to, smoke flag) so CI
+ * artifacts are self-describing:
  * a smoke-mode or Debug number can never masquerade as a
  * paper-comparable one. Without the variable every call is a no-op,
  * keeping human-readable output the default.
@@ -98,16 +91,13 @@ class JsonReport
 #else
         const char *build_type = "unknown";
 #endif
-#ifdef RSSD_NATIVE
-        const int native = 1;
-#else
-        const int native = 0;
-#endif
         std::fprintf(file_,
                      "{\"bench\":\"%s\",\"meta\":{\"build\":\"%s\","
-                     "\"native\":%d,\"smoke\":%d},\"config\":{",
+                     "\"crc32c\":\"%s\",\"sha256\":\"%s\","
+                     "\"chacha20\":\"%s\",\"smoke\":%d},\"config\":{",
                      escaped(bench).c_str(), escaped(build_type).c_str(),
-                     native, smoke() ? 1 : 0);
+                     crypto::crc32cImplName(), crypto::sha256ImplName(),
+                     crypto::chacha20ImplName(), smoke() ? 1 : 0);
         const char *sep = "";
         for (const auto &[k, v] : config) {
             std::fprintf(file_, "%s\"%s\":\"%s\"", sep,

@@ -35,13 +35,14 @@
  * byte-identical report; CI byte-compares two runs. The trace and
  * metrics files are byte-identical too.
  *
- * RSSD_SMOKE=1 divides the per-device benign op count and the
- * shard-flood volume by 10 so the ctest/CI smoke entry finishes in
- * seconds.
+ * RSSD_SMOKE=1 (any value but empty or 0; bench/smoke.hh) divides
+ * the per-device benign op count and the shard-flood volume by 10 so
+ * the ctest/CI smoke entry finishes in seconds.
  */
 
 #include <cstdio>
 
+#include "bench/smoke.hh"
 #include "examples/argparse.hh"
 #include "fleet/scheduler.hh"
 #include "obs/metrics.hh"
@@ -77,8 +78,7 @@ int
 main(int argc, char **argv)
 {
     examples::ArgParser args(argc, argv);
-    // rssd-lint: allow-next-line(D1) smoke switch shrinks the campaign; every run at a given size/seed stays byte-identical
-    const bool smoke = std::getenv("RSSD_SMOKE") != nullptr;
+    const bool smoke = bench::smoke();
 
     fleet::FleetConfig cfg;
     cfg.devices =

@@ -7,6 +7,12 @@
  *    leave the device over NVMe-oE.
  *  - The ransomware attack models encrypt victim data for real, so
  *    that entropy-based detectors see genuine ciphertext statistics.
+ *
+ * The keystream is generated eight blocks per refill by one
+ * vector-extension kernel, compiled as an AVX2 variant (selected at
+ * runtime iff the CPU reports it; crypto/dispatch.hh) and a
+ * baseline-ISA variant. `chacha20Reference` is the one-block scalar
+ * oracle; every path produces identical bytes.
  */
 
 #ifndef RSSD_CRYPTO_CHACHA20_HH
@@ -58,13 +64,29 @@ class ChaCha20
     /** Build a nonce from a 64-bit sequence number. */
     static Nonce96 nonceFromSequence(std::uint64_t seq);
 
+    /** Keystream blocks generated per refill (one SIMD batch). */
+    static constexpr std::size_t kBatchBlocks = 8;
+
   private:
     void refill();
 
     std::array<std::uint32_t, 16> state_;
-    std::array<std::uint8_t, 64> keystream_;
-    std::size_t keystreamPos_ = 64; // empty
+    std::array<std::uint8_t, 64 * kBatchBlocks> keystream_;
+    std::size_t keystreamPos_ = 64 * kBatchBlocks; // empty
 };
+
+/**
+ * XOR the keystream for (@p key, @p nonce, @p counter) over @p len
+ * bytes at @p src into @p dst, one block at a time through the
+ * portable scalar block function. Slow; exists so tests can pin the
+ * dispatched batch path against it.
+ */
+void chacha20Reference(const Key256 &key, const Nonce96 &nonce,
+                       std::uint32_t counter, const std::uint8_t *src,
+                       std::uint8_t *dst, std::size_t len);
+
+/** Name of the batch implementation ChaCha20 dispatches to. */
+const char *chacha20ImplName();
 
 } // namespace rssd::crypto
 

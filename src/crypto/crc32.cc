@@ -4,9 +4,10 @@
 #include <bit>
 #include <cstring>
 
-#if defined(RSSD_NATIVE) && defined(__x86_64__)
+#include "crypto/dispatch.hh"
+
+#ifdef RSSD_CRYPTO_X86
 #include <nmmintrin.h>
-#define RSSD_CRC32_SSE42 1
 #endif
 
 namespace rssd::crypto {
@@ -97,7 +98,7 @@ updateSlicing8(std::uint32_t crc, const std::uint8_t *p, std::size_t len)
     return updateBytewise(crc, p, len);
 }
 
-#ifdef RSSD_CRC32_SSE42
+#ifdef RSSD_CRYPTO_X86
 __attribute__((target("sse4.2"))) std::uint32_t
 updateSse42(std::uint32_t crc, const std::uint8_t *p, std::size_t len)
 {
@@ -127,17 +128,20 @@ struct Impl
     const char *name;
 };
 
-Impl
+const Impl &
 pickImpl()
 {
-#ifdef RSSD_CRC32_SSE42
+#ifdef RSSD_CRYPTO_X86
+    static constexpr Impl kSse42{updateSse42, "sse4.2"};
+    __builtin_cpu_init();
     if (__builtin_cpu_supports("sse4.2"))
-        return {updateSse42, "sse4.2"};
+        return kSse42;
 #endif
-    return {updateSlicing8, "slicing8"};
+    static constexpr Impl kSlicing8{updateSlicing8, "slicing8"};
+    return kSlicing8;
 }
 
-const Impl kImpl = pickImpl();
+constinit const Dispatch<Impl> kImpl{pickImpl};
 
 } // namespace
 
@@ -145,7 +149,7 @@ std::uint32_t
 crc32c(const void *data, std::size_t len, std::uint32_t seed)
 {
     const auto *p = static_cast<const std::uint8_t *>(data);
-    return ~kImpl.fn(~seed, p, len);
+    return ~kImpl.get().fn(~seed, p, len);
 }
 
 std::uint32_t
@@ -164,7 +168,7 @@ crc32cReference(const void *data, std::size_t len, std::uint32_t seed)
 const char *
 crc32cImplName()
 {
-    return kImpl.name;
+    return kImpl.get().name;
 }
 
 } // namespace rssd::crypto

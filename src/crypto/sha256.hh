@@ -5,7 +5,15 @@
  * Used for the hardware-assisted log's hash chain: each log entry's
  * digest covers the entry payload concatenated with the previous
  * digest, making the operation log tamper-evident (docs/ARCHITECTURE.md, "Table 1 defense
- * properties": tamper-evident forensics).
+ * properties": tamper-evident forensics), and for the HMAC that
+ * authenticates sealed segments.
+ *
+ * Two compress implementations live behind one entry point:
+ *  - a portable scalar block function, the reference every fast path
+ *    is tested against (`sha256Reference`);
+ *  - a SHA-NI path, compiled into every x86-64 build and selected at
+ *    runtime iff the CPU reports the feature (crypto/dispatch.hh).
+ * Both produce identical digests for every input.
  */
 
 #ifndef RSSD_CRYPTO_SHA256_HH
@@ -40,8 +48,6 @@ class Sha256
     static Digest hash(const std::vector<std::uint8_t> &data);
 
   private:
-    void processBlock(const std::uint8_t *block);
-
     std::array<std::uint32_t, 8> state_;
     std::array<std::uint8_t, 64> buffer_;
     std::size_t bufferLen_ = 0;
@@ -86,6 +92,15 @@ class HmacSha256
 /** One-shot HMAC-SHA256 over @p data with @p key. */
 Digest hmacSha256(const std::uint8_t *key, std::size_t key_len,
                   const void *data, std::size_t len);
+
+/**
+ * SHA-256 of @p len bytes through the portable scalar compress only.
+ * Slow; exists so tests can pin the dispatched path against it.
+ */
+Digest sha256Reference(const void *data, std::size_t len);
+
+/** Name of the compress implementation Sha256 dispatches to. */
+const char *sha256ImplName();
 
 /** Render a digest as lowercase hex. */
 std::string toHex(const Digest &d);

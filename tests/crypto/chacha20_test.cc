@@ -1,13 +1,16 @@
 /**
  * @file
  * ChaCha20 against the RFC 8439 test vector, plus roundtrip and
- * keystream-uniqueness properties.
+ * keystream-uniqueness properties, and the dispatched batch path
+ * pinned to the one-block scalar reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "crypto/chacha20.hh"
 #include "crypto/entropy.hh"
@@ -97,6 +100,110 @@ TEST(ChaCha20, ByteAtATimeMatchesBulk)
     for (auto &byte : stream)
         cs.apply(&byte, 1);
     EXPECT_EQ(bulk, stream);
+}
+
+std::vector<std::uint8_t>
+pattern(std::size_t len)
+{
+    std::vector<std::uint8_t> v(len);
+    for (std::size_t i = 0; i < len; i++)
+        v[i] = static_cast<std::uint8_t>(i * 73 + 11);
+    return v;
+}
+
+std::vector<std::uint8_t>
+referenceCipher(const Key256 &key, const Nonce96 &nonce,
+                std::uint32_t counter, const std::vector<std::uint8_t> &in)
+{
+    std::vector<std::uint8_t> out(in.size());
+    chacha20Reference(key, nonce, counter, in.data(), out.data(),
+                      in.size());
+    return out;
+}
+
+TEST(ChaCha20, DispatchedMatchesReferenceEverywhere)
+{
+    // Every length past four batches, in place and out of place.
+    const Key256 key = ChaCha20::deriveKey("oracle");
+    const Nonce96 nonce = ChaCha20::nonceFromSequence(11);
+    const std::vector<std::uint8_t> plain = pattern(2100);
+
+    for (std::size_t len = 0; len <= plain.size(); len++) {
+        const std::vector<std::uint8_t> in(plain.begin(),
+                                           plain.begin() + len);
+        const std::vector<std::uint8_t> want =
+            referenceCipher(key, nonce, 1, in);
+
+        std::vector<std::uint8_t> inplace = in;
+        ChaCha20(key, nonce, 1).apply(inplace);
+        ASSERT_EQ(inplace, want) << "in place, len " << len;
+
+        std::vector<std::uint8_t> out(len);
+        ChaCha20(key, nonce, 1).apply(in.data(), out.data(), len);
+        ASSERT_EQ(out, want) << "out of place, len " << len;
+    }
+}
+
+TEST(ChaCha20, AppliesStraddlingABatchMatchReference)
+{
+    // Pairs of applies whose boundary falls on both sides of the
+    // 8-block (512-byte) refill and of each block inside it.
+    const Key256 key = ChaCha20::deriveKey("straddle");
+    const Nonce96 nonce = ChaCha20::nonceFromSequence(5);
+    const std::vector<std::uint8_t> plain = pattern(1600);
+    const std::vector<std::uint8_t> want =
+        referenceCipher(key, nonce, 0, plain);
+
+    for (std::size_t first = 0; first <= 1100; first++) {
+        std::vector<std::uint8_t> buf = plain;
+        ChaCha20 c(key, nonce);
+        c.apply(buf.data(), first);
+        c.apply(buf.data() + first, buf.size() - first);
+        ASSERT_EQ(buf, want) << "first apply " << first;
+    }
+}
+
+TEST(ChaCha20, ByteAtATimeMatchesReferenceAcrossBatches)
+{
+    const Key256 key = ChaCha20::deriveKey("bytewise");
+    const Nonce96 nonce = ChaCha20::nonceFromSequence(9);
+    std::vector<std::uint8_t> buf = pattern(1500);
+    const std::vector<std::uint8_t> want =
+        referenceCipher(key, nonce, 3, buf);
+
+    ChaCha20 c(key, nonce, 3);
+    for (auto &byte : buf)
+        c.apply(&byte, 1);
+    EXPECT_EQ(buf, want);
+}
+
+TEST(ChaCha20, CounterWrapsInsideABatchLikeReference)
+{
+    // Starting six blocks below 2^32 wraps the 32-bit counter inside
+    // the first batch; every path wraps it the same way.
+    const Key256 key = ChaCha20::deriveKey("wrap");
+    const Nonce96 nonce = ChaCha20::nonceFromSequence(2);
+    const std::vector<std::uint8_t> plain = pattern(1300);
+    const std::vector<std::uint8_t> want =
+        referenceCipher(key, nonce, 0xFFFFFFFAu, plain);
+
+    std::vector<std::uint8_t> bulk = plain;
+    ChaCha20(key, nonce, 0xFFFFFFFAu).apply(bulk);
+    EXPECT_EQ(bulk, want);
+
+    // Block 6 of that batch is counter 0: the same keystream as a
+    // fresh stream's first block.
+    std::vector<std::uint8_t> wrapped(8 * 64, 0), fresh(64, 0);
+    ChaCha20(key, nonce, 0xFFFFFFFAu).apply(wrapped);
+    ChaCha20(key, nonce, 0).apply(fresh);
+    EXPECT_TRUE(std::equal(fresh.begin(), fresh.end(),
+                           wrapped.begin() + 6 * 64));
+}
+
+TEST(ChaCha20, ImplNameIsKnown)
+{
+    const std::string name = chacha20ImplName();
+    EXPECT_TRUE(name == "generic" || name == "avx2") << name;
 }
 
 TEST(ChaCha20, DeriveKeyIsDeterministic)

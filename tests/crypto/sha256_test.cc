@@ -1,12 +1,15 @@
 /**
  * @file
- * SHA-256 and HMAC-SHA256 against FIPS / RFC test vectors.
+ * SHA-256 and HMAC-SHA256 against FIPS / RFC test vectors, and the
+ * dispatched compress pinned to the scalar reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "crypto/sha256.hh"
 
@@ -78,6 +81,74 @@ TEST(Sha256, ExactBlockBoundaries)
         EXPECT_EQ(toHex(one.finish()), toHex(two.finish()))
             << "len " << len;
     }
+}
+
+TEST(Sha256, DispatchedMatchesReferenceEverywhere)
+{
+    // Every length up to 17 blocks, at every alignment: the
+    // dispatched compress (SHA-NI or scalar) must be bit-identical to
+    // the scalar reference, including multi-block runs.
+    std::vector<std::uint8_t> data(1100 + 8);
+    for (std::size_t i = 0; i < data.size(); i++)
+        data[i] = static_cast<std::uint8_t>(i * 167 + 13);
+
+    for (std::size_t offset = 0; offset < 8; offset++) {
+        for (std::size_t len = 0; len <= 1100; len++) {
+            const std::uint8_t *p = data.data() + offset;
+            ASSERT_EQ(toHex(Sha256::hash(p, len)),
+                      toHex(sha256Reference(p, len)))
+                << "offset " << offset << " len " << len;
+        }
+    }
+}
+
+TEST(Sha256, SplitUpdatesAcrossEveryBlockBoundary)
+{
+    // Two updates split at every byte of a 4-block message, then a
+    // three-way split straddling each block boundary: the buffered
+    // partial block and the whole-block run must compose exactly.
+    std::vector<std::uint8_t> msg(256 + 37);
+    for (std::size_t i = 0; i < msg.size(); i++)
+        msg[i] = static_cast<std::uint8_t>(i * 29 + 5);
+    const std::string want = toHex(sha256Reference(msg.data(), msg.size()));
+
+    for (std::size_t split = 0; split <= msg.size(); split++) {
+        Sha256 ctx;
+        ctx.update(msg.data(), split);
+        ctx.update(msg.data() + split, msg.size() - split);
+        ASSERT_EQ(toHex(ctx.finish()), want) << "split at " << split;
+    }
+    for (std::size_t boundary = 64; boundary < msg.size(); boundary += 64) {
+        for (std::size_t before = 1; before <= 63; before++) {
+            for (std::size_t after : {1u, 63u, 64u, 65u, 129u}) {
+                const std::size_t a = boundary - before;
+                const std::size_t b = std::min(boundary + after, msg.size());
+                Sha256 ctx;
+                ctx.update(msg.data(), a);
+                ctx.update(msg.data() + a, b - a);
+                ctx.update(msg.data() + b, msg.size() - b);
+                ASSERT_EQ(toHex(ctx.finish()), want)
+                    << "splits at " << a << ", " << b;
+            }
+        }
+    }
+}
+
+TEST(Sha256, ReferenceMatchesKnownVectors)
+{
+    const std::string abc = "abc";
+    EXPECT_EQ(toHex(sha256Reference(abc.data(), abc.size())),
+              "ba7816bf8f01cfea414140de5dae2223"
+              "b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(toHex(sha256Reference(nullptr, 0)),
+              "e3b0c44298fc1c149afbf4c8996fb924"
+              "27ae41e4649b934ca495991b7852b855");
+}
+
+TEST(Sha256, ImplNameIsKnown)
+{
+    const std::string name = sha256ImplName();
+    EXPECT_TRUE(name == "scalar" || name == "sha-ni") << name;
 }
 
 TEST(HmacSha256, Rfc4231Case1)
