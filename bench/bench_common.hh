@@ -9,10 +9,8 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <initializer_list>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/smoke.hh"
@@ -49,105 +47,10 @@ sweep(std::initializer_list<T> points)
 }
 
 /**
- * Machine-readable bench results. When RSSD_BENCH_JSON=<path> is set
- * in the environment, record() appends one JSON object per line to
- * <path> (JSON-Lines), e.g.:
- *
- *   {"bench":"offload_path",
- *    "meta":{"build":"Release","crc32c":"sse4.2","sha256":"sha-ni",
- *            "chacha20":"avx2","smoke":1},
- *    "config":{"link_gbps":"25","content":"typical"},
- *    "metrics":{"offload_MiBps":812.4,"wire_MiBps":433.1}}
- *
- * so the perf trajectory can be tracked across PRs by diffing or
- * plotting the artifacts. Every record carries a "meta" stamp (build
- * type, the crypto kernels this CPU dispatched to, smoke flag) so CI
- * artifacts are self-describing:
- * a smoke-mode or Debug number can never masquerade as a
- * paper-comparable one. Without the variable every call is a no-op,
- * keeping human-readable output the default.
+ * Print a bench banner, naming the CRC32C, SHA-256 and ChaCha20
+ * kernels this CPU dispatched to, so every bench log says which
+ * code paths its numbers measured.
  */
-class JsonReport
-{
-  public:
-    static JsonReport &
-    instance()
-    {
-        static JsonReport r;
-        return r;
-    }
-
-    bool enabled() const { return file_ != nullptr; }
-
-    void
-    record(const std::string &bench,
-           const std::vector<std::pair<std::string, std::string>> &config,
-           const std::vector<std::pair<std::string, double>> &metrics)
-    {
-        if (!file_)
-            return;
-#ifdef RSSD_BUILD_TYPE_NAME
-        const char *build_type = RSSD_BUILD_TYPE_NAME;
-#else
-        const char *build_type = "unknown";
-#endif
-        std::fprintf(file_,
-                     "{\"bench\":\"%s\",\"meta\":{\"build\":\"%s\","
-                     "\"crc32c\":\"%s\",\"sha256\":\"%s\","
-                     "\"chacha20\":\"%s\",\"smoke\":%d},\"config\":{",
-                     escaped(bench).c_str(), escaped(build_type).c_str(),
-                     crypto::crc32cImplName(), crypto::sha256ImplName(),
-                     crypto::chacha20ImplName(), smoke() ? 1 : 0);
-        const char *sep = "";
-        for (const auto &[k, v] : config) {
-            std::fprintf(file_, "%s\"%s\":\"%s\"", sep,
-                         escaped(k).c_str(), escaped(v).c_str());
-            sep = ",";
-        }
-        std::fprintf(file_, "},\"metrics\":{");
-        sep = "";
-        for (const auto &[k, v] : metrics) {
-            std::fprintf(file_, "%s\"%s\":%.17g", sep,
-                         escaped(k).c_str(), v);
-            sep = ",";
-        }
-        std::fprintf(file_, "}}\n");
-        std::fflush(file_);
-    }
-
-  private:
-    JsonReport()
-    {
-        // rssd-lint: allow-next-line(D1) opt-in results file path; absent var keeps record() a no-op
-        if (const char *path = std::getenv("RSSD_BENCH_JSON"))
-            file_ = std::fopen(path, "a");
-    }
-
-    ~JsonReport()
-    {
-        if (file_)
-            std::fclose(file_);
-    }
-
-    static std::string
-    escaped(const std::string &s)
-    {
-        std::string out;
-        out.reserve(s.size());
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                out.push_back('\\');
-            if (static_cast<unsigned char>(c) < 0x20)
-                continue; // bench names never need control chars
-            out.push_back(c);
-        }
-        return out;
-    }
-
-    std::FILE *file_ = nullptr;
-};
-
-/** Print a bench banner. */
 inline void
 banner(const std::string &title, const std::string &what)
 {
@@ -155,6 +58,9 @@ banner(const std::string &title, const std::string &what)
                 "=============================\n");
     std::printf("%s\n", title.c_str());
     std::printf("%s\n", what.c_str());
+    std::printf("[kernels: crc32c=%s sha256=%s chacha20=%s]\n",
+                crypto::crc32cImplName(), crypto::sha256ImplName(),
+                crypto::chacha20ImplName());
     if (smoke())
         std::printf("[RSSD_SMOKE: tiny configuration — numbers are "
                     "not paper-comparable]\n");

@@ -70,21 +70,6 @@ main()
                     units::toMiB(sealed_bytes), agg_mibps,
                     formatTime(p99).c_str(),
                     static_cast<unsigned long long>(stalls));
-
-        bench::JsonReport::instance().record(
-            "fleet_scale",
-            {{"devices", std::to_string(devices)},
-             {"shards", std::to_string(cfg.shards)},
-             {"ops_per_device", std::to_string(ops)}},
-            {{"segments",
-              static_cast<double>(rep.totalSegments)},
-             {"offload_MiB", units::toMiB(sealed_bytes)},
-             {"aggregate_MiBps", agg_mibps},
-             {"p99_backlog_ms",
-              static_cast<double>(p99) / units::MS},
-             {"backpressure_stalls", static_cast<double>(stalls)},
-             {"makespan_ms",
-              static_cast<double>(rep.makespan) / units::MS}});
     }
 
     std::printf("\nAggregate throughput should scale near-linearly "
@@ -137,25 +122,6 @@ main()
                     formatTime(p99).c_str(),
                     static_cast<unsigned long long>(
                         rep.replicationStats.quorumWrites));
-
-        bench::JsonReport::instance().record(
-            "fleet_replication",
-            {{"devices", std::to_string(sweep_devices)},
-             {"shards", std::to_string(cfg.shards)},
-             {"replication", std::to_string(r)},
-             {"ops_per_device", std::to_string(ops)}},
-            {{"segments_stored",
-              static_cast<double>(rep.totalSegments)},
-             {"bytes_stored_MiB",
-              units::toMiB(rep.totalBytesStored)},
-             {"aggregate_MiBps", agg_mibps},
-             {"p99_backlog_ms",
-              static_cast<double>(p99) / units::MS},
-             {"quorum_writes",
-              static_cast<double>(
-                  rep.replicationStats.quorumWrites)},
-             {"makespan_ms",
-              static_cast<double>(rep.makespan) / units::MS}});
     }
 
     std::printf("\nStored segments should be exactly R x the R=1 "

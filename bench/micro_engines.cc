@@ -200,52 +200,11 @@ BM_SegmentSeal(benchmark::State &state)
 }
 BENCHMARK(BM_SegmentSeal);
 
-/**
- * Console reporter that tees every run into the RSSD_BENCH_JSON
- * JSON-Lines file (no-op when the variable is unset), so bench runs
- * in CI leave a machine-readable artifact.
- */
-class JsonTeeReporter : public benchmark::ConsoleReporter
-{
-  public:
-    /** Library-version shim: Run::error_occurred (<= 1.7) became
-     *  Run::skipped in Google Benchmark 1.8. */
-    template <typename R>
-    static bool
-    runSkipped(const R &run)
-    {
-        if constexpr (requires { run.error_occurred; })
-            return run.error_occurred;
-        else
-            return static_cast<int>(run.skipped) != 0;
-    }
-
-    void
-    ReportRuns(const std::vector<Run> &runs) override
-    {
-        for (const Run &run : runs) {
-            if (runSkipped(run))
-                continue;
-            std::vector<std::pair<std::string, double>> metrics = {
-                {"real_time_ns", run.GetAdjustedRealTime()},
-                {"iterations", static_cast<double>(run.iterations)},
-            };
-            const auto it = run.counters.find("bytes_per_second");
-            if (it != run.counters.end())
-                metrics.emplace_back("bytes_per_second",
-                                     static_cast<double>(it->second));
-            bench::JsonReport::instance().record(
-                run.benchmark_name(), {{"bench_binary", "micro_engines"}},
-                metrics);
-        }
-        ConsoleReporter::ReportRuns(runs);
-    }
-};
-
 } // namespace
 
 // BENCHMARK_MAIN(), plus a near-zero min-time in smoke runs so the
-// ctest smoke entry finishes in seconds.
+// ctest smoke entry finishes in seconds, and the dispatched kernels
+// in the run context (console header and --benchmark_out JSON).
 int
 main(int argc, char **argv)
 {
@@ -257,8 +216,10 @@ main(int argc, char **argv)
     benchmark::Initialize(&count, args.data());
     if (benchmark::ReportUnrecognizedArguments(count, args.data()))
         return 1;
-    JsonTeeReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
+    benchmark::AddCustomContext("crc32c", rssd::crypto::crc32cImplName());
+    benchmark::AddCustomContext("sha256", rssd::crypto::sha256ImplName());
+    benchmark::AddCustomContext("chacha20", rssd::crypto::chacha20ImplName());
+    benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;
 }

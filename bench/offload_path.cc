@@ -83,13 +83,6 @@ main()
             std::printf("%8.0f | %14s | %12.1f | %12.1f | %9.2f\n",
                         gbps, label, r.offloadMiBps, r.wireMiBps,
                         r.compression);
-            bench::JsonReport::instance().record(
-                "offload_path",
-                {{"link_gbps", std::to_string(gbps)},
-                 {"content", label}},
-                {{"offload_MiBps", r.offloadMiBps},
-                 {"wire_MiBps", r.wireMiBps},
-                 {"compression_ratio", r.compression}});
         }
     }
 

@@ -82,21 +82,6 @@ main()
                     static_cast<unsigned long long>(
                         rep.degradedAtEnd));
 
-        bench::JsonReport::instance().record(
-            "repair_convergence",
-            {{"scrub_segments_per_step", label},
-             {"ops_per_device", std::to_string(ops)}},
-            {{"enqueues", static_cast<double>(rs.enqueues)},
-             {"segments_copied",
-              static_cast<double>(rs.segmentsCopied)},
-             {"copied_MiB", units::toMiB(rs.bytesCopied)},
-             {"scrubbed_segments",
-              static_cast<double>(rs.scrubbedSegments)},
-             {"converge_ms",
-              static_cast<double>(converge) / units::MS},
-             {"degraded_at_end",
-              static_cast<double>(rep.degradedAtEnd)}});
-
         if (rep.degradedAtEnd != 0 || !rep.allChainsOk) {
             std::printf("FAIL: run did not converge healthy\n");
             return 1;

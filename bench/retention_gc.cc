@@ -11,7 +11,7 @@
  * to displace a pruned one. The metric is wall-clock MB/s of
  * accepted wire bytes, with the GC work (HMAC verify, prune-record
  * re-signing, tombstone open for entry accounting) on the measured
- * path. Results go to RSSD_BENCH_JSON with the standard meta stamps.
+ * path.
  */
 
 #include <chrono>
@@ -109,16 +109,6 @@ main()
                     static_cast<unsigned long long>(kSegments), mbps,
                     static_cast<unsigned long long>(prunes),
                     occupancy * 100.0);
-
-        bench::JsonReport::instance().record(
-            "retention_gc",
-            {{"capacity_mib", std::to_string(cap_mib)},
-             {"streams", std::to_string(kStreams)},
-             {"segment_page_bytes", std::to_string(kPageBytes)}},
-            {{"steady_ingest_MiBps", mbps},
-             {"segments", static_cast<double>(kSegments)},
-             {"prunes", static_cast<double>(prunes)},
-             {"occupancy", occupancy}});
     }
     return 0;
 }

@@ -389,6 +389,16 @@ main(int argc, char **argv)
         }
     }
 
+    // The retention, replication and repair gates share one
+    // forensics pass and one chain verdict: a second runForensics()
+    // would run recovery again on devices the first already restored,
+    // so a later gate's "100% intact" would assert nothing.
+    forensics::ForensicsReport fr;
+    if (retention_check || replication_check || repair_check)
+        fr = sched.runForensics();
+    const bool chains_verify =
+        (retention_check || repair_check) && sched.cluster().verifyAll();
+
     if (retention_check) {
         // The capacity-pressure acceptance gate: after a campaign
         // against GC-enabled shards, cluster-side forensics must
@@ -396,8 +406,7 @@ main(int argc, char **argv)
         // re-anchor records), and every detected encryptor's victim
         // data must recover to 100% — the suspicion holds kept the
         // flood from evicting the evidence recovery needs.
-        const forensics::ForensicsReport fr = sched.runForensics();
-        if (!sched.cluster().verifyAll()) {
+        if (!chains_verify) {
             std::printf("retention-check: FAIL (chain verification "
                         "after GC)\n");
             check_ok = false;
@@ -448,7 +457,6 @@ main(int argc, char **argv)
         // surviving replicas must still reconstruct the campaign's
         // ground truth, and every detected victim must restore to
         // 100% intact with its history read from a live replica.
-        const forensics::ForensicsReport fr = sched.runForensics();
         if (!fr.campaignClassMatch || !fr.patientZeroMatch ||
             !fr.infectionOrderMatch) {
             std::printf("replication-check: FAIL (ground truth not "
@@ -515,8 +523,7 @@ main(int argc, char **argv)
                         "caught by a scrub)\n");
             check_ok = false;
         }
-        const forensics::ForensicsReport fr = sched.runForensics();
-        if (!sched.cluster().verifyAll()) {
+        if (!chains_verify) {
             std::printf("repair-check: FAIL (chain verification "
                         "after repair)\n");
             check_ok = false;

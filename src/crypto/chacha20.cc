@@ -97,12 +97,6 @@ xorBytes(const std::uint8_t *src, const std::uint8_t *ks, std::uint8_t *dst,
 }
 
 /**
- * Write ChaCha20::kBatchBlocks keystream blocks for @p state to
- * @p out; block j uses counter state[12] + j (mod 2^32).
- */
-using BatchFn = void (*)(const std::uint32_t *state, std::uint8_t *out);
-
-/**
  * The batch kernel: lane j of each vector is word i of block j, so
  * one vector instruction advances the same word of all eight blocks.
  * Written once with GCC vector extensions and compiled per target by
@@ -162,23 +156,28 @@ batchGeneric(const std::uint32_t *state, std::uint8_t *out)
     batchX8(state, out);
 }
 
-struct BatchImpl
+#ifdef RSSD_CRYPTO_X86
+bool
+cpuHasAvx2()
 {
-    BatchFn fn;
-    const char *name;
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+}
+#endif
+
+using BatchImpl = Candidate<ChaCha20BatchFn>;
+
+constexpr BatchImpl kCandidates[] = {
+#ifdef RSSD_CRYPTO_X86
+    {"avx2", batchAvx2, cpuHasAvx2},
+#endif
+    {"generic", batchGeneric, anyCpu},
 };
 
 const BatchImpl &
 pickBatch()
 {
-#ifdef RSSD_CRYPTO_X86
-    static constexpr BatchImpl kAvx2{batchAvx2, "avx2"};
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2"))
-        return kAvx2;
-#endif
-    static constexpr BatchImpl kGeneric{batchGeneric, "generic"};
-    return kGeneric;
+    return firstSupported(kCandidates);
 }
 
 constinit const Dispatch<BatchImpl> kBatch{pickBatch};
@@ -268,6 +267,12 @@ const char *
 chacha20ImplName()
 {
     return kBatch.get().name;
+}
+
+std::span<const Candidate<ChaCha20BatchFn>>
+chacha20Candidates()
+{
+    return kCandidates;
 }
 
 } // namespace rssd::crypto

@@ -21,8 +21,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "crypto/dispatch.hh"
 
 namespace rssd::crypto {
 
@@ -87,6 +90,20 @@ void chacha20Reference(const Key256 &key, const Nonce96 &nonce,
 
 /** Name of the batch implementation ChaCha20 dispatches to. */
 const char *chacha20ImplName();
+
+/**
+ * Write ChaCha20::kBatchBlocks keystream blocks for the 16-word
+ * RFC 8439 @p state to @p out; block j uses counter state[12] + j
+ * (mod 2^32).
+ */
+using ChaCha20BatchFn = void (*)(const std::uint32_t *state,
+                                 std::uint8_t *out);
+
+/**
+ * Every keystream batch kernel, in pick order: ChaCha20 runs the
+ * first one the CPU supports.
+ */
+std::span<const Candidate<ChaCha20BatchFn>> chacha20Candidates();
 
 } // namespace rssd::crypto
 

@@ -119,26 +119,28 @@ updateSse42(std::uint32_t crc, const std::uint8_t *p, std::size_t len)
 }
 #endif
 
-using UpdateFn = std::uint32_t (*)(std::uint32_t, const std::uint8_t *,
-                                   std::size_t);
-
-struct Impl
+#ifdef RSSD_CRYPTO_X86
+bool
+cpuHasSse42()
 {
-    UpdateFn fn;
-    const char *name;
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2");
+}
+#endif
+
+using Impl = Candidate<Crc32cUpdateFn>;
+
+constexpr Impl kCandidates[] = {
+#ifdef RSSD_CRYPTO_X86
+    {"sse4.2", updateSse42, cpuHasSse42},
+#endif
+    {"slicing8", updateSlicing8, anyCpu},
 };
 
 const Impl &
 pickImpl()
 {
-#ifdef RSSD_CRYPTO_X86
-    static constexpr Impl kSse42{updateSse42, "sse4.2"};
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("sse4.2"))
-        return kSse42;
-#endif
-    static constexpr Impl kSlicing8{updateSlicing8, "slicing8"};
-    return kSlicing8;
+    return firstSupported(kCandidates);
 }
 
 constinit const Dispatch<Impl> kImpl{pickImpl};
@@ -169,6 +171,12 @@ const char *
 crc32cImplName()
 {
     return kImpl.get().name;
+}
+
+std::span<const Candidate<Crc32cUpdateFn>>
+crc32cCandidates()
+{
+    return kCandidates;
 }
 
 } // namespace rssd::crypto

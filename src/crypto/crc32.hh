@@ -18,7 +18,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "crypto/dispatch.hh"
 
 namespace rssd::crypto {
 
@@ -38,6 +41,20 @@ std::uint32_t crc32cReference(const void *data, std::size_t len,
 
 /** Name of the implementation crc32c() dispatches to. */
 const char *crc32cImplName();
+
+/**
+ * Advance the raw (inverted) CRC state @p crc over @p len bytes at
+ * @p p: crc32c(p, len, seed) is ~fn(~seed, p, len).
+ */
+using Crc32cUpdateFn = std::uint32_t (*)(std::uint32_t crc,
+                                         const std::uint8_t *p,
+                                         std::size_t len);
+
+/**
+ * Every CRC32C update kernel, in pick order: crc32c() runs the first
+ * one the CPU supports.
+ */
+std::span<const Candidate<Crc32cUpdateFn>> crc32cCandidates();
 
 } // namespace rssd::crypto
 

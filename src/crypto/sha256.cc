@@ -102,11 +102,6 @@ processBlock(std::uint32_t *state, const std::uint8_t *block)
     state[7] += h;
 }
 
-/** Compress @p nblocks consecutive 64-byte blocks into @p state. */
-using CompressFn = void (*)(std::uint32_t *state,
-                            const std::uint8_t *blocks,
-                            std::size_t nblocks);
-
 void
 compressScalar(std::uint32_t *state, const std::uint8_t *blocks,
                std::size_t nblocks)
@@ -192,24 +187,29 @@ compressShaNi(std::uint32_t *state, const std::uint8_t *blocks,
 }
 #endif
 
-struct CompressImpl
+#ifdef RSSD_CRYPTO_X86
+bool
+cpuHasShaNi()
 {
-    CompressFn fn;
-    const char *name;
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") &&
+           __builtin_cpu_supports("sse4.1");
+}
+#endif
+
+using CompressImpl = Candidate<Sha256CompressFn>;
+
+constexpr CompressImpl kCandidates[] = {
+#ifdef RSSD_CRYPTO_X86
+    {"sha-ni", compressShaNi, cpuHasShaNi},
+#endif
+    {"scalar", compressScalar, anyCpu},
 };
 
 const CompressImpl &
 pickCompress()
 {
-#ifdef RSSD_CRYPTO_X86
-    static constexpr CompressImpl kShaNi{compressShaNi, "sha-ni"};
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("sha") &&
-        __builtin_cpu_supports("sse4.1"))
-        return kShaNi;
-#endif
-    static constexpr CompressImpl kScalar{compressScalar, "scalar"};
-    return kScalar;
+    return firstSupported(kCandidates);
 }
 
 constinit const Dispatch<CompressImpl> kCompress{pickCompress};
@@ -221,7 +221,7 @@ constinit const Dispatch<CompressImpl> kCompress{pickCompress};
  */
 Digest
 finalize(std::uint32_t *state, std::uint8_t *buf, std::size_t len,
-         std::uint64_t total, CompressFn compress)
+         std::uint64_t total, Sha256CompressFn compress)
 {
     // 0x80, zeros, then the 64-bit big-endian bit length in the last
     // 8 bytes — spilling into a second block when the tail leaves no
@@ -257,7 +257,7 @@ Sha256::update(const void *data, std::size_t len)
     panicIf(finished_, "Sha256::update after finish");
     const auto *p = static_cast<const std::uint8_t *>(data);
     totalLen_ += len;
-    const CompressFn compress = kCompress.get().fn;
+    const Sha256CompressFn compress = kCompress.get().fn;
 
     // Fill a partially filled buffer first.
     if (bufferLen_ > 0) {
@@ -332,6 +332,12 @@ const char *
 sha256ImplName()
 {
     return kCompress.get().name;
+}
+
+std::span<const Candidate<Sha256CompressFn>>
+sha256Candidates()
+{
+    return kCandidates;
 }
 
 HmacSha256::HmacSha256(const std::uint8_t *key, std::size_t key_len)

@@ -22,8 +22,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "crypto/dispatch.hh"
 
 namespace rssd::crypto {
 
@@ -101,6 +104,17 @@ Digest sha256Reference(const void *data, std::size_t len);
 
 /** Name of the compress implementation Sha256 dispatches to. */
 const char *sha256ImplName();
+
+/** Compress @p nblocks consecutive 64-byte blocks into @p state. */
+using Sha256CompressFn = void (*)(std::uint32_t *state,
+                                  const std::uint8_t *blocks,
+                                  std::size_t nblocks);
+
+/**
+ * Every SHA-256 compress kernel, in pick order: Sha256 runs the first
+ * one the CPU supports; the last is the portable scalar compress.
+ */
+std::span<const Candidate<Sha256CompressFn>> sha256Candidates();
 
 /** Render a digest as lowercase hex. */
 std::string toHex(const Digest &d);

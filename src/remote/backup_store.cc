@@ -495,18 +495,6 @@ BackupStore::streamTail(StreamId stream) const
 }
 
 void
-BackupStore::corruptStoredSegment(StreamId stream, std::uint64_t k)
-{
-    StreamState &st = stateOf(stream);
-    panicIf(k >= st.stored.size(),
-            "BackupStore: corruption index past stream");
-    log::SealedSegment &sealed = segments_[st.stored[k]];
-    panicIf(sealed.payload.empty(),
-            "BackupStore: corrupting an empty payload");
-    sealed.payload[sealed.payload.size() / 2] ^= 0x40;
-}
-
-void
 BackupStore::injectBitRot(StreamId stream, std::uint64_t k,
                           std::size_t first_byte,
                           std::size_t byte_count)

@@ -265,15 +265,6 @@ class BackupStore : public net::CapsuleTarget
         const std::function<void(log::Segment &)> &visit = {}) const;
 
     /**
-     * Fault injection (tests only): flip one byte in the @p k-th
-     * live stored segment of @p stream, simulating silent replica
-     * corruption. The chain metadata is untouched, so only payload
-     * verification catches it — exactly the fault voting reads
-     * around.
-     */
-    void corruptStoredSegment(StreamId stream, std::uint64_t k);
-
-    /**
      * Bit-rot fault (tests / fault harness): flip @p byte_count
      * payload bytes starting at @p first_byte (clamped to the
      * payload) in the @p k-th live stored segment of @p stream. The

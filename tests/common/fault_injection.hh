@@ -46,7 +46,8 @@ struct ScriptedFault
     remote::DeviceId stream = 0;
     std::uint64_t segmentIdx = 0;
 
-    /** BitRot: payload byte range to flip (clamped to the payload).
+    /** CorruptSegment: the payload byte to flip. BitRot: the
+     *  payload byte range to flip. Both clamp to the payload.
      *  Segment ids, anchors and the chain tail stay pristine, so
      *  ingest keeps flowing and tail votes still agree — only an
      *  integrity scrub that re-verifies stored bytes catches it. */
@@ -101,8 +102,8 @@ class FaultInjector
             cluster_.setShardDelay(f.shard, f.delay);
             break;
           case ScriptedFault::Kind::CorruptSegment:
-            cluster_.mutableShardStore(f.shard).corruptStoredSegment(
-                f.stream, f.segmentIdx);
+            cluster_.mutableShardStore(f.shard).injectBitRot(
+                f.stream, f.segmentIdx, f.byteOffset, 1);
             break;
           case ScriptedFault::Kind::BitRot:
             cluster_.mutableShardStore(f.shard).injectBitRot(

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -198,6 +200,49 @@ TEST(ChaCha20, CounterWrapsInsideABatchLikeReference)
     ChaCha20(key, nonce, 0).apply(fresh);
     EXPECT_TRUE(std::equal(fresh.begin(), fresh.end(),
                            wrapped.begin() + 6 * 64));
+}
+
+/** The RFC 8439 section 2.3 input state for (@p key, @p nonce, @p counter). */
+std::array<std::uint32_t, 16>
+rfcState(const Key256 &key, const Nonce96 &nonce, std::uint32_t counter)
+{
+    std::array<std::uint32_t, 16> s{0x61707865u, 0x3320646eu, 0x79622d32u,
+                                    0x6b206574u};
+    std::memcpy(&s[4], key.data(), key.size());
+    s[12] = counter;
+    std::memcpy(&s[13], nonce.data(), nonce.size());
+    return s;
+}
+
+TEST(ChaCha20, EverySupportedKernelMatchesReference)
+{
+    // Not only the picked kernel: every table entry this CPU can run
+    // writes the same eight keystream blocks as the one-block scalar
+    // reference, including a batch that wraps the 32-bit counter, so
+    // the baseline-ISA kernel stays tested on AVX2 hosts.
+    static_assert(std::endian::native == std::endian::little);
+    const Nonce96 nonce = ChaCha20::nonceFromSequence(23);
+    const std::vector<std::uint8_t> zeros(ChaCha20::kBatchBlocks * 64, 0);
+
+    std::size_t run = 0;
+    for (const auto &kernel : chacha20Candidates()) {
+        if (!kernel.supported())
+            continue;
+        run++;
+        for (const char *seed : {"kernel-a", "kernel-b"}) {
+            const Key256 key = ChaCha20::deriveKey(seed);
+            for (std::uint32_t counter : {0u, 1u, 0xFFFFFFFCu}) {
+                const auto state = rfcState(key, nonce, counter);
+                std::vector<std::uint8_t> got(zeros.size());
+                kernel.fn(state.data(), got.data());
+                ASSERT_EQ(got, referenceCipher(key, nonce, counter, zeros))
+                    << kernel.name << " key " << seed << " counter "
+                    << counter;
+            }
+        }
+    }
+    EXPECT_GE(run, 1u);
+    EXPECT_STREQ(chacha20Candidates().back().name, "generic");
 }
 
 TEST(ChaCha20, ImplNameIsKnown)

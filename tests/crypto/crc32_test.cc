@@ -99,6 +99,35 @@ TEST(Crc32c, DispatchedMatchesReferenceEverywhere)
     }
 }
 
+TEST(Crc32c, EverySupportedKernelMatchesReference)
+{
+    // Not only the picked kernel: every table entry this CPU can run,
+    // so the portable slicing path stays tested on SSE4.2 hosts.
+    std::vector<std::uint8_t> data(1024 + 8);
+    for (std::size_t i = 0; i < data.size(); i++)
+        data[i] = static_cast<std::uint8_t>(i * 131 + 17);
+
+    std::size_t run = 0;
+    for (const auto &kernel : crc32cCandidates()) {
+        if (!kernel.supported())
+            continue;
+        run++;
+        for (std::size_t offset : {0u, 1u, 7u}) {
+            for (std::size_t len = 0; len <= 1024; len++) {
+                for (std::uint32_t seed : {0u, 0xdeadbeefu}) {
+                    const std::uint8_t *p = data.data() + offset;
+                    ASSERT_EQ(~kernel.fn(~seed, p, len),
+                              crc32cReference(p, len, seed))
+                        << kernel.name << " offset " << offset << " len "
+                        << len << " seed " << seed;
+                }
+            }
+        }
+    }
+    EXPECT_GE(run, 1u);
+    EXPECT_STREQ(crc32cCandidates().back().name, "slicing8");
+}
+
 TEST(Crc32c, IncrementalSeedingMatchesOneShot)
 {
     std::vector<std::uint8_t> data(300);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -98,6 +99,39 @@ TEST(Sha256, DispatchedMatchesReferenceEverywhere)
             ASSERT_EQ(toHex(Sha256::hash(p, len)),
                       toHex(sha256Reference(p, len)))
                 << "offset " << offset << " len " << len;
+        }
+    }
+}
+
+TEST(Sha256, EverySupportedKernelMatchesScalarCompress)
+{
+    // Not only the picked kernel: every table entry this CPU can run
+    // compresses runs of 0..17 blocks, from a non-initial state and
+    // at every alignment, exactly as the scalar compress does.
+    const auto kernels = sha256Candidates();
+    const auto &scalar = kernels.back();
+    ASSERT_STREQ(scalar.name, "scalar");
+
+    std::vector<std::uint8_t> data(17 * 64 + 8);
+    for (std::size_t i = 0; i < data.size(); i++)
+        data[i] = static_cast<std::uint8_t>(i * 167 + 13);
+    std::array<std::uint32_t, 8> start;
+    for (std::size_t i = 0; i < start.size(); i++)
+        start[i] = 0x9e3779b9u * static_cast<std::uint32_t>(i + 1);
+
+    for (const auto &kernel : kernels) {
+        if (!kernel.supported())
+            continue;
+        for (std::size_t offset = 0; offset < 8; offset++) {
+            for (std::size_t nblocks = 0; nblocks <= 17; nblocks++) {
+                const std::uint8_t *p = data.data() + offset;
+                auto want = start;
+                scalar.fn(want.data(), p, nblocks);
+                auto got = start;
+                kernel.fn(got.data(), p, nblocks);
+                ASSERT_EQ(got, want) << kernel.name << " offset "
+                                     << offset << " blocks " << nblocks;
+            }
         }
     }
 }

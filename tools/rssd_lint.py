@@ -78,7 +78,7 @@ D1_STD_QUALIFIED_ONLY = {"clock"}
 D1_AREAS = {"src", "examples", "bench"}
 
 # D2: a file is an emission TU if it mentions any of these emitters.
-D2_EMITTER_IDENTS = {"JsonWriter", "TraceSink", "JsonReport"}
+D2_EMITTER_IDENTS = {"JsonWriter", "TraceSink"}
 D2_UNORDERED_TYPES = {"unordered_map", "unordered_set"}
 
 # D3: report translation units whose key set (literal keys plus the
